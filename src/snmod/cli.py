@@ -240,12 +240,16 @@ def cmd_score(args) -> int:
     partition = read_partition_csv(args.partition, g)
     params = SNParams(args.sigma, args.agg, args.metric)
     ng = ng_modularity(g, partition)
-    sn = sn_modularity(g, partition, params)
+    qualities = [community_quality(g, members, params) for members in partition.communities]
+    # summed in community order, exactly as sn_modularity sums them
+    sn = 0.0
+    for q in qualities:
+        sn += q
     print("ng_modularity,sn_modularity")
     print(f"{ng:.12g},{sn:.12g}")
     print("community,quality")
-    for c, members in enumerate(partition.communities):
-        print(f"{c},{community_quality(g, members, params):.12g}")
+    for c, q in enumerate(qualities):
+        print(f"{c},{q:.12g}")
     return 0
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import GeoPoint, spherical_centroid
+from .geometry import GeoKernel, GeoPoint, spherical_centroid
 
 
 class GraphFormatError(ValueError):
@@ -46,10 +46,17 @@ class GeoGraph:
     :func:`assemble_graph`, where a loop's stored weight is its ordered-pair
     total and counts once toward the node's degree.
 
+    ``num_edges`` counts undirected edges, a self-loop once.
+
     Instances are immutable after construction and safe for concurrent reads.
+    The geometry kernel of each metric is derived from the node locations and
+    kept once built (see :meth:`kernel`).
     """
 
-    __slots__ = ("external_ids", "nodes", "adj", "degrees", "two_m", "_ext_index")
+    __slots__ = (
+        "external_ids", "nodes", "adj", "degrees", "two_m", "num_edges",
+        "_ext_index", "_kernels",
+    )
 
     def __init__(self, external_ids, nodes, adj, degrees, two_m):
         self.external_ids = tuple(external_ids)
@@ -57,7 +64,9 @@ class GeoGraph:
         self.adj = tuple(tuple(row) for row in adj)
         self.degrees = tuple(degrees)
         self.two_m = float(two_m)
+        self.num_edges = sum(1 for u, row in enumerate(self.adj) for v, _ in row if u <= v)
         self._ext_index = {e: i for i, e in enumerate(self.external_ids)}
+        self._kernels: dict[str, GeoKernel] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -128,16 +137,22 @@ class GeoGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count; a self-loop counts once."""
-        return sum(1 for _ in self.undirected_edges())
-
     def point(self, i: int) -> GeoPoint:
         return self.nodes[i].point()
 
     def points(self) -> list[GeoPoint]:
         return [n.point() for n in self.nodes]
+
+    def kernel(self, metric: str = "haversine") -> GeoKernel:
+        """The read-only geometry kernel over all nodes, built on first use.
+
+        Every scorer and optimizer level over this graph shares it.  Two
+        threads using it first at once may each build one; both are equal.
+        """
+        kernel = self._kernels.get(metric)
+        if kernel is None:
+            kernel = self._kernels[metric] = GeoKernel(self.points(), metric)
+        return kernel
 
     def internal_id(self, external: int) -> int:
         try:

@@ -23,6 +23,9 @@ _DEGENERATE_NORM = 1e-9
 # numpy's per-call overhead only pays off above it.
 _SCALAR_MAX = 24
 
+# Spans of at most this many points are taken pair by pair in pure Python.
+_SPAN_SCALAR_MAX = 48
+
 
 class GeoPoint(NamedTuple):
     """A location: degrees for the great-circle metric, plane units otherwise."""
@@ -109,28 +112,7 @@ def metric_centroid(metric: str):
 
 def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
     """Maximum distance over all unordered point pairs; 0 for fewer than two."""
-    pts = [GeoPoint(float(p[0]), float(p[1])) for p in points]
-    n = len(pts)
-    if n < 2:
-        return 0.0
-    if n <= 48:
-        dist = metric_distance(metric)
-        best = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                d = dist(pts[i], pts[j])
-                if d > best:
-                    best = d
-        return best
-    kernel = GeoKernel(pts, metric)
-    members = list(range(n))
-    best = 0.0
-    for i in range(n - 1):
-        row = kernel.distances(members[i + 1 :], pts[i])
-        m = float(row.max())
-        if m > best:
-            best = m
-    return best
+    return GeoKernel(points, metric).span(range(len(points)))
 
 
 class GeoKernel:
@@ -370,6 +352,25 @@ class GeoKernel:
         if self.metric == "planar":
             return np.hypot(rows[:, 0] - point[0], rows[:, 1] - point[1])
         return _haversine_rows(rows, point)
+
+    def span(self, members: Sequence[int]) -> float:
+        """Largest pairwise distance among members; 0 for fewer than two."""
+        k = len(members)
+        best = 0.0
+        if k <= _SPAN_SCALAR_MAX:
+            dist = metric_distance(self.metric)
+            pts = [self.points[i] for i in members]
+            for a in range(k - 1):
+                for b in range(a + 1, k):
+                    d = dist(pts[a], pts[b])
+                    if d > best:
+                        best = d
+            return best
+        for a in range(k - 1):
+            m = float(self.distances(members[a + 1 :], self.points[members[a]]).max())
+            if m > best:
+                best = m
+        return best
 
     def within_limit(
         self,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geograph import GeoGraph, assemble_graph
-from .geometry import GeoKernel, metric_centroid
+from .geometry import metric_centroid
 from .metrics import Partition, SNParams, ng_modularity, sn_modularity
 
 
@@ -122,7 +122,7 @@ class LevelState:
                 if j == i:
                     self.self_w[i] = w
         metric = obj.params.metric if obj.kind == "sn" else "haversine"
-        self.kernel = GeoKernel(graph.points(), metric)
+        self.kernel = graph.kernel(metric)
         self.comm = [int(c) for c in assignment]
         if len(self.comm) != n:
             raise ValueError("assignment length does not match the graph")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .geograph import GeoGraph
-from .geometry import GeoKernel, GeoPoint
+from .geometry import GeoPoint
 
 AGG_NAMES = ("max", "sum")
 
@@ -149,7 +149,7 @@ def sn_modularity(g: GeoGraph, p: Partition, params: SNParams) -> float:
     _check_partition(g, p)
     if g.two_m == 0:
         return 0.0
-    kernel = GeoKernel(g.points(), params.metric)
+    kernel = g.kernel(params.metric)
     total = 0.0
     for members in p.communities:
         total += _quality(g, members, params, kernel)
@@ -166,21 +166,16 @@ def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> 
             raise ValueError(f"unknown internal node id {i}")
     if g.two_m == 0:
         return 0.0
-    kernel = GeoKernel(g.points(), params.metric)
-    return _quality(g, members, params, kernel)
+    return _quality(g, members, params, g.kernel(params.metric))
 
 
-def community_stats(
-    g: GeoGraph, members: Iterable[int], params: SNParams, kernel: GeoKernel | None = None
-) -> CommunityStats:
+def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> CommunityStats:
     """Numerator pieces, center, and dispersion for one community."""
     members = sorted(int(i) for i in members)
     if not members:
         raise ValueError("empty community")
-    if kernel is None:
-        kernel = GeoKernel(g.points(), params.metric)
     sum_in, sum_deg = _community_sums(g, members, set(members))
-    centroid, dispersion = kernel.stats(members, params.sigma, params.agg)
+    centroid, dispersion = g.kernel(params.metric).stats(members, params.sigma, params.agg)
     return CommunityStats(sum_in, sum_deg, centroid, dispersion)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .geograph import GeoGraph
-from .geometry import max_pairwise_span_km
 from .louvain import EngineConfig, Objective, run_louvain
 from .metrics import Partition, SNParams, sn_modularity
 
@@ -73,9 +72,10 @@ def partition_max_span(g: GeoGraph, p: Partition, metric: str = "haversine") -> 
     """Largest pairwise member distance over all communities, at node resolution."""
     if len(p.assignment) != g.num_nodes:
         raise ValueError("partition does not match the graph")
+    kernel = g.kernel(metric)
     best = 0.0
     for members in p.communities:
-        span = max_pairwise_span_km([g.point(i) for i in members], metric)
+        span = kernel.span(members)
         if span > best:
             best = span
     return best

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from snmod import geometry
 from snmod.cli import main, read_partition_csv, run_sweep, SWEEP_HEADER, IMPROVEMENT_HEADER
 from snmod.geograph import load_graph
 from snmod.metrics import Partition, SNParams, ng_modularity, sn_modularity
@@ -158,6 +159,32 @@ class TestScore:
         assert rc == 0
         ng, sn = capsys.readouterr().out.splitlines()[1].split(",")
         assert ng == sn
+
+    def test_builds_one_kernel_and_prints_library_values(self, tmp_path, capsys, monkeypatch):
+        edges = tmp_path / "e.tsv"
+        edges.write_text(BRIDGED_EDGE_TEXT)
+        coords = tmp_path / "c.csv"
+        coords.write_text("0,0,0\n1,0.2,0.1\n2,0,0.9\n3,1,1\n4,1.5,1\n5,-1,2\n")
+        labels = [0, 0, 1, 1, 2, 2]
+        part = self._write_partition(tmp_path, labels)
+        builds = []
+        init = geometry.GeoKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.GeoKernel, "__init__", counting_init)
+        rc = main(["score", "--edges", str(edges), "--coords", str(coords),
+                   "--partition", str(part), "--sigma", "50"])
+        assert rc == 0
+        assert len(builds) == 1
+        lines = capsys.readouterr().out.splitlines()
+        g = load_graph(str(edges), str(coords))
+        p = Partition(tuple(labels))
+        params = SNParams(50.0)
+        assert lines[1] == f"{ng_modularity(g, p):.12g},{sn_modularity(g, p, params):.12g}"
+        assert len(lines) == 3 + p.num_communities
 
     def test_partition_with_unknown_node_errors(self, fixture_files, tmp_path):
         edges, coords = fixture_files

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from snmod.geograph import GeoGraph
+from snmod.geometry import max_pairwise_span_km
 from snmod.louvain import EngineConfig, Objective, run_louvain
 from snmod.metrics import Partition, SNParams, sn_modularity
 from snmod.snic import SnicConfig, SnicTrace, partition_max_span, run_snic
@@ -38,6 +39,17 @@ class TestPartitionMaxSpan:
                 for members in p.communities
             )
             assert partition_max_span(g, p) == pytest.approx(want, abs=1e-9)
+
+    def test_large_community_uses_graph_kernel_exactly(self):
+        rng = random.Random(5)
+        n = 60
+        g = random_geo_graph(rng, n, edge_p=0.1)
+        members = list(range(5, n))  # 55 members: past the pair-loop size
+        p = Partition.from_assignment([0] * 5 + [1] * len(members))
+        pts = [g.point(i) for i in members]
+        want = max_pairwise_span_km(pts)
+        assert partition_max_span(g, p) == want
+        assert want == pytest.approx(naive_span(pts), abs=1e-9)
 
     def test_mismatch_raises(self, geo_clusters):
         with pytest.raises(ValueError):
