@@ -19,27 +19,12 @@ except ImportError:
 
 from snmod.metrics import SNParams
 from snmod.snic import SnicConfig, run_snic
-from snmod.synth import SyntheticSpec, planted_geo_clusters
-
-
-def scaling_spec(n: int, seed: int = 0) -> SyntheticSpec:
-    clusters = max(2, n // 100)
-    csize = n / clusters
-    return SyntheticSpec(
-        n_nodes=n,
-        n_clusters=clusters,
-        p_intra=min(1.0, 6.0 / (csize - 1)),
-        p_inter=min(1.0, 2.0 / (n - csize)),
-        spacing_km=700.0,
-        spread_km=20.0,
-        geo_mode="aligned",
-        seed=seed,
-    )
+from snmod.synth import SCALING_SIZES, planted_geo_clusters, scaling_spec
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="250,500,1000,2000")
+    ap.add_argument("--sizes", default=",".join(map(str, SCALING_SIZES)))
     ap.add_argument("--sigma", type=float, default=1000.0)
     ap.add_argument("--max-iters", type=int, default=10)
     ap.add_argument("--reps", type=int, default=2)

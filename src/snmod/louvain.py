@@ -6,12 +6,17 @@ phase collapses communities into meta-nodes, carrying accumulated edge
 weights as self-loops and placing each meta-node at its community's center.
 The phases alternate until a sweep moves nothing.
 
-With the spatially-near objective the gain of a candidate move re-evaluates
-the affected communities' centers and dispersions exactly, in O(|c|) per
-candidate; internal-weight and degree sums are cached incrementally.  An
-optional join constraint forbids a node from entering a community unless it
-is within a given distance of every current member, which is what the
-iterated-constraint driver in :mod:`snmod.snic` relies on.
+With the spatially-near objective each candidate community is first bounded
+in O(1) from the node's distance to the cached community center, then, only
+if the bound could still beat the best move found so far, re-evaluated
+exactly with an O(|c|) scan of the union's center and dispersion.  The bound
+never falls below the exact gain (triangle inequality plus a rounding
+slack), so pruning never changes a decision.  Internal-weight and degree
+sums are cached incrementally.  An optional join constraint forbids a node
+from entering a community unless it is within a given distance of every
+current member, which is what the iterated-constraint heuristic in
+:mod:`snmod.snic` relies on; the same center distance accepts or rejects
+most candidates in O(1) and leaves only the rest to a member scan.
 """
 
 import bisect
@@ -22,8 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geograph import GeoGraph, assemble_graph
-from .geometry import metric_centroid
+from .geometry import metric_centroid, metric_distance
 from .metrics import Partition, SNParams, ng_modularity, sn_modularity
+
+# Relative slack on the distances that the O(1) bounds read.  Computed
+# distances carry a relative error of a few 1e-8 at most (the worst case is
+# haversine near antipodal points), so a bound widened by this much still
+# holds for the rounded values that the exact scans compare.
+_BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,9 @@ def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
 
 
 class _Community:
-    __slots__ = ("members", "rows", "sum_deg", "sum_in", "centroid", "dispersion", "quality")
+    __slots__ = (
+        "members", "rows", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality"
+    )
 
     def __init__(self):
         self.members: list[int] = []
@@ -100,6 +113,8 @@ class _Community:
         self.sum_in = 0.0
         self.centroid = None
         self.dispersion = 0.0
+        # sigma * sqrt(dispersion): no member is farther from the centroid
+        self.radius = 0.0
         self.quality = 0.0
 
 
@@ -123,6 +138,7 @@ class LevelState:
                     self.self_w[i] = w
         metric = obj.params.metric if obj.kind == "sn" else "haversine"
         self.kernel = graph.kernel(metric)
+        self.distance = metric_distance(metric)
         self.comm = [int(c) for c in assignment]
         if len(self.comm) != n:
             raise ValueError("assignment length does not match the graph")
@@ -174,6 +190,7 @@ class LevelState:
         c.centroid, c.dispersion = self.kernel.stats(
             c.members, params.sigma, params.agg, rows=c.rows
         )
+        c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = (
             (c.sum_in - c.sum_deg * c.sum_deg / self.two_m)
             / (1.0 + c.dispersion)
@@ -203,6 +220,36 @@ class LevelState:
         sum_in = c.sum_in + 2.0 * kiin + self.self_w[i]
         sum_deg = c.sum_deg + k
         q_union = (sum_in - sum_deg * sum_deg / two_m) / (1.0 + disp) / two_m
+        return q_union - c.quality - self._q_single(i)
+
+    def _gain_bound(self, i: int, c: _Community, kiin: float, d: float) -> float:
+        """O(1) upper bound on ``_insertion_gain(i, c, kiin)`` (SN objective).
+
+        ``d`` is the distance from node i to c's centroid.  Every member lies
+        within ``c.radius`` of that centroid, so whatever center c + {i} gets,
+        the triangle inequality puts i or some member at least
+        (d - radius) / 2 from it; that bounds the union's dispersion from
+        below and its quality from above.  The bound repeats the exact gain's
+        floating-point operations with the smaller dispersion, and rounding
+        is monotone, so the exact gain never exceeds it.
+        """
+        if c.dispersion == 0.0 and self.graph.point(i) == c.centroid:
+            return math.inf  # the co-located shortcut is O(1) already
+        two_m = self.two_m
+        k = self.graph.degrees[i]
+        sum_in = c.sum_in + 2.0 * kiin + self.self_w[i]
+        sum_deg = c.sum_deg + k
+        num = sum_in - sum_deg * sum_deg / two_m
+        if num > 0.0:
+            reach = 0.5 * (d - c.radius) - _BOUND_SLACK * (d + c.radius)
+            disp = 0.0
+            if reach > 0.0:
+                scaled = reach / self.objective.params.sigma
+                disp = scaled * scaled * (1.0 - _BOUND_SLACK)
+            q_union = num / (1.0 + disp) / two_m
+        else:
+            # a non-positive numerator stays non-positive at any dispersion
+            q_union = 0.0
         return q_union - c.quality - self._q_single(i)
 
     def _removal_back_gain(self, i: int, old: _Community, kiin_old: float) -> float:
@@ -280,6 +327,22 @@ def move_gain(state: LevelState, i: int, target_community: int, obj: Objective) 
     return ins - back
 
 
+def _join_verdict(d: float, radius: float, limit: float) -> bool | None:
+    """Decide the join constraint in O(1) when the centroid distance allows.
+
+    Every member lies within ``radius`` of the centroid, which is ``d`` from
+    the node, so every member is within d + radius of the node and farther
+    than d - radius.  Returns True when all members are within ``limit``,
+    False when all are beyond it, and None when only a member scan can tell.
+    """
+    slack = _BOUND_SLACK * (d + radius + limit)
+    if d + radius + slack <= limit:
+        return True
+    if d - radius - slack > limit:
+        return False
+    return None
+
+
 def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = EngineConfig()):
     """Sweep nodes until a full sweep moves nothing; returns (moved, state).
 
@@ -288,35 +351,69 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     applied, preferring to stay on ties and the smallest community label
     otherwise.  With a finite join constraint, a community is a candidate
     only when the node is within the constraint of all current members.
+
+    Under the spatially-near objective each candidate is bound, then
+    verified, from the node's distance to the candidate's centroid.  A
+    candidate whose O(1) gain bound (:meth:`LevelState._gain_bound`) cannot
+    beat the best gain so far is skipped without its join check or its
+    O(|c|) dispersion scan; the join constraint of the rest is mostly
+    decided in O(1) (:func:`_join_verdict`).  Candidates are still visited
+    in label order, so a skipped one could never have been chosen and the
+    moves are exactly those of a full scan.
     """
     if obj != state.objective:
         raise ValueError("objective does not match the one the state was built for")
     if state.two_m == 0:
         return 0, state
     limit = cfg.join_constraint_km
+    constrained = math.isfinite(limit)
+    sn = obj.kind == "sn"
+    communities = state.communities
+    distance = state.distance
     total_moved = 0
     while True:
         moved = 0
         for i in state.visit_order:
             old_label = state.comm[i]
-            old = state.communities[old_label]
+            old = communities[old_label]
             point_i = state.graph.point(i)
             kiin = state._neighbor_weights(i)
             back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
             best_label: int | None = old_label
             best_gain = 0.0
-            for label in sorted(kiin):
-                if label == old_label:
-                    continue
-                cand = state.communities[label]
-                if math.isfinite(limit) and not state.kernel.within_limit(
-                    cand.members, point_i, limit, rows=cand.rows
-                ):
-                    continue
-                gain = state._insertion_gain(i, cand, kiin[label]) - back
-                if gain > best_gain:
-                    best_gain = gain
-                    best_label = label
+            if sn:
+                for label in sorted(kiin):
+                    if label == old_label:
+                        continue
+                    cand = communities[label]
+                    d = distance(point_i, cand.centroid)
+                    if state._gain_bound(i, cand, kiin[label], d) - back <= best_gain:
+                        continue
+                    if constrained:
+                        ok = _join_verdict(d, cand.radius, limit)
+                        if ok is None:
+                            ok = state.kernel.within_limit(
+                                cand.members, point_i, limit, rows=cand.rows
+                            )
+                        if not ok:
+                            continue
+                    gain = state._insertion_gain(i, cand, kiin[label]) - back
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_label = label
+            else:
+                for label in sorted(kiin):
+                    if label == old_label:
+                        continue
+                    cand = communities[label]
+                    if constrained and not state.kernel.within_limit(
+                        cand.members, point_i, limit, rows=cand.rows
+                    ):
+                        continue
+                    gain = state._insertion_gain(i, cand, kiin[label]) - back
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_label = label
             fresh_gain = -back
             if fresh_gain > best_gain:
                 best_gain = fresh_gain

@@ -48,6 +48,31 @@ class SyntheticSpec:
             )
 
 
+# Node counts of the runtime-scaling ladder: acceptance criterion 6 and
+# scripts/runtime_scaling.py time SNIC on scaling_spec(n) for each.
+SCALING_SIZES = (250, 500, 1000, 2000)
+
+
+def scaling_spec(n: int, seed: int = 0) -> SyntheticSpec:
+    """Fixed-density aligned spec of the runtime-scaling ladder.
+
+    About 100 nodes per cluster, expected intra-cluster degree 6 and
+    inter-cluster degree 2 at every n, so work should grow linearly in n.
+    """
+    clusters = max(2, n // 100)
+    csize = n / clusters
+    return SyntheticSpec(
+        n_nodes=n,
+        n_clusters=clusters,
+        p_intra=min(1.0, 6.0 / (csize - 1)),
+        p_inter=min(1.0, 2.0 / (n - csize)),
+        spacing_km=700.0,
+        spread_km=20.0,
+        geo_mode="aligned",
+        seed=seed,
+    )
+
+
 def planted_geo_clusters(spec: SyntheticSpec) -> tuple[GeoGraph, Partition]:
     """Generate a benchmark graph; returns it with the planted partition."""
     rng = random.Random(spec.seed)

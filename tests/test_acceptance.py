@@ -29,7 +29,7 @@ from snmod.metrics import (
 from snmod.oracle import oracle_best
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.snic import SnicConfig, run_snic
-from snmod.synth import SyntheticSpec, planted_geo_clusters
+from snmod.synth import SCALING_SIZES, SyntheticSpec, planted_geo_clusters, scaling_spec
 
 from conftest import bridged_triangles, colocated_clusters, random_geo_graph, random_partition
 from _naive import naive_ng, naive_sn
@@ -292,22 +292,10 @@ def test_criterion_6_runtime_scaling():
     """Wall time grows linearly in node count at fixed density."""
     started = time.perf_counter()
     problems = []
-    sizes = (250, 500, 1000, 2000)
+    sizes = SCALING_SIZES
     times = []
     for n in sizes:
-        clusters = max(2, n // 100)
-        csize = n / clusters
-        spec = SyntheticSpec(
-            n_nodes=n,
-            n_clusters=clusters,
-            p_intra=min(1.0, 6.0 / (csize - 1)),
-            p_inter=min(1.0, 2.0 / (n - csize)),
-            spacing_km=700.0,
-            spread_km=20.0,
-            geo_mode="aligned",
-            seed=0,
-        )
-        g, _ = planted_geo_clusters(spec)
+        g, _ = planted_geo_clusters(scaling_spec(n))
         cfg = SnicConfig(params=SNParams(1000.0), max_iters=10)
         best = math.inf
         for _ in range(2):

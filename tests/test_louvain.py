@@ -1,11 +1,15 @@
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snmod import louvain
 from snmod.geograph import GeoGraph
+from snmod.geometry import GeoKernel
 from snmod.louvain import (
     EngineConfig,
     LevelState,
@@ -15,8 +19,11 @@ from snmod.louvain import (
     move_gain,
     objective_value,
     run_louvain,
+    _join_verdict,
 )
 from snmod.metrics import Partition, SNParams, ng_modularity, sn_modularity
+from snmod.snic import SnicConfig, run_snic
+from snmod.synth import SyntheticSpec, planted_geo_clusters
 
 from conftest import (
     bridged_triangles,
@@ -242,3 +249,173 @@ class TestRunLouvain:
         shuf = run_louvain(g, Objective.ng(), EngineConfig(node_order="shuffle", seed=9))
         # both are valid local optima over the same graph
         assert abs(ng_modularity(g, base) - ng_modularity(g, shuf)) < 1.0
+
+
+def _insertion_case(seed: int, metric: str, agg: str, shape: str):
+    """A state holding community {0..size-1}, singleton node i = size and a few
+    outside nodes; returns (state, i, community label)."""
+    rng = random.Random(seed)
+    size = 1 if shape == "single" else 2 * rng.randint(1, 20)
+    lat0 = rng.uniform(-60.0, 60.0)
+    lon0 = rng.uniform(-170.0, -10.0)
+
+    def near(scale):
+        return (
+            max(-90.0, min(90.0, lat0 + rng.gauss(0.0, scale))),
+            max(-180.0, min(180.0, lon0 + rng.gauss(0.0, scale))),
+        )
+
+    if shape == "colocated":
+        members = [(lat0, lon0)] * size
+    elif shape == "antipodal":
+        # pairs within 1e-9 degrees of antipodal: the mean unit vector is
+        # degenerate, so the centroid falls back to member 0
+        members = [
+            (lat0, lon0) if k % 2 == 0 else
+            (-lat0 + rng.uniform(-1e-9, 1e-9), lon0 + 180.0 + rng.uniform(-1e-9, 1e-9))
+            for k in range(size)
+        ]
+    else:
+        members = [near(rng.choice([1e-7, 1e-3, 0.5, 20.0])) for _ in range(size)]
+    if shape == "colocated" and rng.random() < 0.3:
+        node = (lat0, lon0)
+    else:
+        node = near(rng.choice([1e-7, 1e-3, 0.5, 20.0, 90.0]))
+    outside = rng.randint(0, 5)
+    coords = dict(enumerate(members + [node]))
+    coords.update({size + 1 + k: near(30.0) for k in range(outside)})
+    n = len(coords)
+    i = size
+    w = lambda: rng.uniform(0.5, 2.0)
+    edges = [(i, rng.randrange(size), w())]
+    edges += [(u, v, w()) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    assignment = [0] * size + list(range(1, n - size + 1))
+    params = SNParams(rng.choice([0.01, 1.0, 50.0, 1000.0, 20000.0]), agg=agg, metric=metric)
+    g = GeoGraph.from_edges(edges, coords, extra_nodes=range(n))
+    state = LevelState.from_partition(g, Partition.from_assignment(assignment), Objective.sn(params))
+    return state, i, state.comm[0]
+
+
+class TestBoundThenVerify:
+    @given(
+        seed=seeds,
+        metric=st.sampled_from(["haversine", "planar"]),
+        agg=st.sampled_from(["max", "sum"]),
+        shape=st.sampled_from(["spread", "single", "colocated", "antipodal"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bounds_are_sound(self, seed, metric, agg, shape):
+        state, i, label = _insertion_case(seed, metric, agg, shape)
+        c = state.communities[label]
+        point = state.graph.point(i)
+        if shape == "antipodal" and metric == "haversine":
+            assert c.centroid == state.graph.point(0)
+        kiin = state._neighbor_weights(i).get(label, 0.0)
+        d = state.distance(point, c.centroid)
+        assert state._gain_bound(i, c, kiin, d) >= state._insertion_gain(i, c, kiin)
+        farthest = float(state.kernel.distances(c.members, point).max())
+        for base in (d + c.radius, abs(d - c.radius), farthest, d):
+            for factor in (0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0):
+                limit = base * factor
+                if not limit > 0.0:
+                    continue
+                verdict = _join_verdict(d, c.radius, limit)
+                if verdict is not None:
+                    assert verdict == state.kernel.within_limit(
+                        c.members, point, limit, rows=c.rows
+                    )
+
+    @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
+    @pytest.mark.parametrize("agg", ["max", "sum"])
+    def test_pruned_runs_equal_full_scans(self, monkeypatch, metric, sigma, agg):
+        spec = SyntheticSpec(
+            n_nodes=300, n_clusters=5, p_intra=0.06, p_inter=0.004,
+            spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=4,
+        )
+        g, _ = planted_geo_clusters(spec)
+        cfg = SnicConfig(
+            SNParams(sigma, agg=agg, metric=metric),
+            engine=EngineConfig(node_order="shuffle", seed=4),
+        )
+        work = {"scans": 0, "checks": 0}
+        stats, within_limit = GeoKernel.stats, GeoKernel.within_limit
+
+        def counted_stats(self, *args, **kwargs):
+            work["scans"] += kwargs.get("plus") is not None
+            return stats(self, *args, **kwargs)
+
+        def counted_within_limit(self, *args, **kwargs):
+            work["checks"] += 1
+            return within_limit(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeoKernel, "stats", counted_stats)
+        monkeypatch.setattr(GeoKernel, "within_limit", counted_within_limit)
+        pruned = run_snic(g, cfg)
+        pruned_work = dict(work)
+        work.update(scans=0, checks=0)
+        monkeypatch.setattr(LevelState, "_gain_bound", lambda self, i, c, kiin, d: math.inf)
+        monkeypatch.setattr(louvain, "_join_verdict", lambda d, radius, limit: None)
+        full = run_snic(g, cfg)
+
+        assert len(full.trace.entries) >= 2  # a finite constraint was applied
+        assert pruned.partition == full.partition
+        key = lambda e: (e.iteration, e.constraint_km, e.sn_modularity, e.span_km)
+        assert [key(e) for e in pruned.trace.entries] == [key(e) for e in full.trace.entries]
+        assert pruned_work["scans"] < work["scans"]
+        assert pruned_work["checks"] < work["checks"]
+
+
+def _assert_caches_fresh(state: LevelState) -> None:
+    """Compare every community cache with a recomputation from scratch."""
+    fresh = LevelState.from_partition(state.graph, state.extract_partition(), state.objective)
+    by_members = {tuple(c.members): c for c in fresh.communities.values()}
+    assert len(by_members) == len(state.communities)
+    two_m = state.two_m
+    for label, c in state.communities.items():
+        assert all(state.comm[m] == label for m in c.members)
+        f = by_members[tuple(c.members)]
+        assert c.sum_in == pytest.approx(f.sum_in, rel=1e-9, abs=1e-12)
+        assert c.sum_deg == pytest.approx(f.sum_deg, rel=1e-9)
+        assert (c.centroid, c.dispersion, c.radius) == (f.centroid, f.dispersion, f.radius)
+        if state.objective.kind == "sn":
+            expected = (c.sum_in - c.sum_deg * c.sum_deg / two_m) / (1.0 + f.dispersion) / two_m
+            assert c.quality == expected
+            assert c.quality == pytest.approx(f.quality, rel=1e-9, abs=1e-15)
+        else:
+            assert c.quality == f.quality == 0.0
+        if f.rows is None:
+            assert c.rows is None
+        else:
+            assert np.array_equal(c.rows, f.rows)
+
+
+@pytest.mark.parametrize(
+    "obj,cfg",
+    [
+        (Objective.sn(SNParams(500.0)), EngineConfig(join_constraint_km=2500.0)),
+        (Objective.ng(), EngineConfig()),
+    ],
+    ids=["sn-constrained", "ng"],
+)
+def test_incremental_caches_do_not_drift(monkeypatch, obj, cfg):
+    """After every move pass, at every level, the caches match a rebuild."""
+    original = louvain.local_move_pass
+    levels = []
+
+    def checked_pass(state, obj, cfg=EngineConfig()):
+        result = original(state, obj, cfg)
+        _assert_caches_fresh(state)
+        levels.append(state.graph.num_nodes)
+        return result
+
+    monkeypatch.setattr(louvain, "local_move_pass", checked_pass)
+    spec = SyntheticSpec(
+        n_nodes=300, n_clusters=5, p_intra=0.06, p_inter=0.004,
+        spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=2,
+    )
+    planted, _ = planted_geo_clusters(spec)
+    weighted = random_geo_graph(random.Random(3), 60, edge_p=0.08)
+    for g in (planted, weighted):
+        levels.clear()
+        run_louvain(g, obj, replace(cfg, node_order="shuffle", seed=1))
+        assert len(levels) >= 2
