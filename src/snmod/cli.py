@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph
+from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, Objective, run_louvain
 from .metrics import Partition, SNParams, ng_modularity, sn_modularity, community_quality
 from .sampler import SampleSpec, snowball_sample
@@ -362,8 +363,8 @@ def _add_io_flags(p, coords_required=True):
 
 def _add_objective_flags(p):
     p.add_argument("--sigma", type=float, required=True, help="distance scale in km")
-    p.add_argument("--agg", choices=("max", "sum"), default="max")
-    p.add_argument("--metric", choices=("haversine", "planar"), default="haversine")
+    p.add_argument("--agg", choices=AGG_NAMES, default="max")
+    p.add_argument("--metric", choices=METRIC_NAMES, default="haversine")
 
 
 def build_parser() -> _Parser:
@@ -397,8 +398,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sigmas", default=",".join(f"{s:g}" for s in DEFAULT_SIGMAS))
     p.add_argument("--algos", default="louvain,louvain-sn,snic")
     p.add_argument("--seeds", default="0", help="engine node-order seeds")
-    p.add_argument("--agg", choices=("max", "sum"), default="max")
-    p.add_argument("--metric", choices=("haversine", "planar"), default="haversine")
+    p.add_argument("--agg", choices=AGG_NAMES, default="max")
+    p.add_argument("--metric", choices=METRIC_NAMES, default="haversine")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--improvements", help="improvement CSV (default: <out>_improvements.csv)")

@@ -1,9 +1,16 @@
-"""Great-circle and planar geometry: distances, centroids, spans, dispersion kernels.
+"""Great-circle and planar geometry: distance, centroids, spans, dispersion kernels.
 
 All great-circle computations use a sphere of radius 6371.0 km.  The "planar"
 metric treats (lat, lon) as plain plane coordinates and exists for synthetic
-tests where exact hand-computable distances are convenient; everything
-downstream is metric-agnostic.
+tests where exact hand-computable distance values are convenient.
+
+:class:`GeoKernel` stores every point once as a 3-D vector: the unit vector
+on the sphere, ``(x, y, 0.0)`` on the plane.  Every centre, distance, join
+check and span it computes then goes through one path, the squared chord
+(Euclidean distance) between two vectors.  Only three things depend on the
+metric: building the vector table, the centre (the mean vector, renormalized
+on the sphere) and the monotone map from squared chord to distance
+(``2R asin(chord / 2)`` on the sphere, ``chord`` on the plane).
 """
 
 import math
@@ -15,6 +22,8 @@ EARTH_RADIUS_KM = 6371.0
 
 METRIC_NAMES = ("haversine", "planar")
 
+AGG_NAMES = ("max", "sum")
+
 # Mean unit vectors shorter than this (per point) are treated as directionless
 # (e.g. an antipodal pair) and fall back to the first input point.
 _DEGENERATE_NORM = 1e-9
@@ -22,9 +31,6 @@ _DEGENERATE_NORM = 1e-9
 # Member sets at or below this size take the scalar path in GeoKernel;
 # numpy's per-call overhead only pays off above it.
 _SCALAR_MAX = 24
-
-# Spans of at most this many points are taken pair by pair in pure Python.
-_SPAN_SCALAR_MAX = 48
 
 
 class GeoPoint(NamedTuple):
@@ -92,36 +98,55 @@ def planar_centroid(points: Sequence) -> GeoPoint:
     return GeoPoint(sum(p.lat for p in pts) / n, sum(p.lon for p in pts) / n)
 
 
-def metric_distance(metric: str):
-    """Scalar distance function for a metric name."""
-    if metric == "haversine":
-        return haversine_km
-    if metric == "planar":
-        return planar_distance
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def metric_centroid(metric: str):
-    """Centroid function for a metric name."""
-    if metric == "haversine":
-        return spherical_centroid
-    if metric == "planar":
-        return planar_centroid
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
     """Maximum distance over all unordered point pairs; 0 for fewer than two."""
     return GeoKernel(points, metric).span(range(len(points)))
 
 
-class GeoKernel:
-    """Vectorized distance/centroid/dispersion engine over a fixed point table.
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    phi = math.radians(p.lat)
+    lam = math.radians(p.lon)
+    c = math.cos(phi)
+    return (c * math.cos(lam), c * math.sin(lam), math.sin(phi))
 
-    Built once per node set (graph or coarsened graph level).  Member sets
-    are python lists of node indices; small sets take a scalar path, large
+
+def _sq_chord(a, b) -> float:
+    """Squared Euclidean distance between two 3-D vectors."""
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dz = a[2] - b[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _arc_km(c2: float) -> float:
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(c2) * 0.5))
+
+
+def _arc_km_rows(c2: np.ndarray) -> np.ndarray:
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(c2) * 0.5))
+
+
+# Squared chord -> distance, for one value and for an array, per metric.
+# Both maps are monotone, so the largest distance is the largest chord's.
+_CHORD_TO_KM = {
+    "haversine": (_arc_km, _arc_km_rows),
+    "planar": (math.sqrt, np.sqrt),
+}
+
+
+class GeoKernel:
+    """Distance/centroid/dispersion engine over a fixed point table.
+
+    Built once per node set (graph or coarsened graph level).  Each point is
+    stored as a 3-D vector (``vecs``, and as rows of one numpy table), and
+    every distance is mapped from the squared chord between two vectors, so
+    the metric matters only when the table is built, when a centre is taken
+    and when a chord becomes a distance.  Member sets are python lists of
+    node indices; sets of at most ``_SCALAR_MAX`` take a scalar path, larger
     ones a vectorized path over an optional cached row matrix, so
     per-community statistics stay O(|c|) with small constants either way.
+    Both paths compute each chord with the same operations in the same
+    order.
     """
 
     def __init__(self, points: Sequence, metric: str = "haversine"):
@@ -129,23 +154,12 @@ class GeoKernel:
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
         self.points = [GeoPoint(float(p[0]), float(p[1])) for p in points]
-        lat = [p.lat for p in self.points]
-        lon = [p.lon for p in self.points]
         if metric == "haversine":
-            self._phi = [math.radians(v) for v in lat]
-            self._lam = [math.radians(v) for v in lon]
-            self._cos = [math.cos(v) for v in self._phi]
-            self._ux = [c * math.cos(l) for c, l in zip(self._cos, self._lam)]
-            self._uy = [c * math.sin(l) for c, l in zip(self._cos, self._lam)]
-            self._uz = [math.sin(v) for v in self._phi]
-            # columns: phi, lam, cos(phi), ux, uy, uz
-            self._table = np.column_stack(
-                [self._phi, self._lam, self._cos, self._ux, self._uy, self._uz]
-            ) if self.points else np.empty((0, 6))
+            self.vecs = [_unit_vector(p) for p in self.points]
         else:
-            self._x = [float(v) for v in lat]
-            self._y = [float(v) for v in lon]
-            self._table = np.column_stack([self._x, self._y]) if self.points else np.empty((0, 2))
+            self.vecs = [(p.lat, p.lon, 0.0) for p in self.points]
+        self._table = np.array(self.vecs, dtype=float).reshape(-1, 3)
+        self._km, self._km_rows = _CHORD_TO_KM[metric]
 
     # -- row caching -------------------------------------------------------
 
@@ -154,25 +168,61 @@ class GeoKernel:
 
         Returns None for sets small enough that the scalar path is used.
         """
-        if len(members) <= _SCALAR_MAX:
-            return None
+        return None if len(members) <= _SCALAR_MAX else self._rows(members)
+
+    def _rows(self, members) -> np.ndarray:
         return self._table[np.fromiter(members, dtype=np.intp, count=len(members))]
 
     def _gather(self, members, plus, rows):
         """Row matrix for members (+ optional extra node), sharing the cache."""
-        k = len(members)
-        width = self._table.shape[1]
-        if plus is None:
-            if rows is not None:
-                return rows
-            return self._table[np.fromiter(members, dtype=np.intp, count=k)]
-        out = np.empty((k + 1, width))
-        if rows is not None:
-            out[:k] = rows
-        else:
-            out[:k] = self._table[np.fromiter(members, dtype=np.intp, count=k)]
-        out[k] = self._table[plus]
-        return out
+        if rows is None:
+            rows = self._rows(members)
+        return rows if plus is None else np.concatenate((rows, self._table[plus : plus + 1]))
+
+    # -- centres and chords --------------------------------------------------
+
+    def centroid(self, members: Sequence[int]) -> GeoPoint:
+        """Centre of the members as a location, for meta-nodes and reports."""
+        pts = [self.points[i] for i in members]
+        if self.metric == "haversine":
+            return spherical_centroid(pts)
+        return planar_centroid(pts)
+
+    def _centre(self, sx, sy, sz, total, fallback):
+        """Centre vector from a member vector sum: the mean, renormalized on
+        the sphere, where a degenerate mean falls back to ``fallback``."""
+        if self.metric == "planar":
+            return (sx / total, sy / total, sz / total)
+        norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+        if norm < _DEGENERATE_NORM * total:
+            return fallback
+        return (sx / norm, sy / norm, sz / norm)
+
+    def _chord2(self, v, members, rows=None):
+        """Squared chords from vector ``v`` to each member.
+
+        A list for at most ``_SCALAR_MAX`` members without ``rows``; an
+        array over ``rows`` (gathered if not given) otherwise.
+        """
+        if rows is None:
+            if len(members) <= _SCALAR_MAX:
+                vecs = self.vecs
+                return [_sq_chord(vecs[i], v) for i in members]
+            rows = self._rows(members)
+        d = rows - v
+        d *= d
+        return d[:, 0] + d[:, 1] + d[:, 2]
+
+    def _max_chord2(self, v, members, rows=None) -> float:
+        """Largest squared chord from vector ``v`` to any member; 0 for none."""
+        c2 = self._chord2(v, members, rows)
+        if isinstance(c2, np.ndarray):
+            return float(c2.max())
+        return max(c2, default=0.0)
+
+    def distance(self, i: int, centre) -> float:
+        """Distance from node ``i`` to a centre vector returned by :meth:`stats`."""
+        return self._km(_sq_chord(self.vecs[i], centre))
 
     # -- statistics ----------------------------------------------------------
 
@@ -183,243 +233,66 @@ class GeoKernel:
         agg: str,
         plus: int | None = None,
         rows: np.ndarray | None = None,
-    ) -> tuple[GeoPoint, float]:
-        """Centroid and aggregated squared normalized distance for one member set.
+    ) -> tuple[tuple[float, float, float], float]:
+        """Centre vector and aggregated squared normalized distance for one member set.
 
         ``members`` must be sorted ascending; ``plus`` optionally adds one
         more node (candidate insertions are evaluated without mutating any
         state); ``rows`` may carry :meth:`member_rows` output for ``members``.
         """
-        if agg not in ("max", "sum"):
+        if agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {agg!r}")
-        k = len(members)
-        total = k + (1 if plus is not None else 0)
+        total = len(members) + (plus is not None)
         if total == 0:
             raise ValueError("empty community")
-        if k == 0:
-            first = plus
-        elif plus is not None and plus < members[0]:
+        if not members or (plus is not None and plus < members[0]):
             first = plus
         else:
             first = members[0]
-        if total == 1:
-            return self.points[first], 0.0
+        vecs = self.vecs
+        v0 = vecs[first]
         if total <= _SCALAR_MAX:
-            if self.metric == "planar":
-                return self._stats_scalar_planar(members, sigma, agg, plus, first)
-            return self._stats_scalar(members, sigma, agg, plus, first)
-        rows = self._gather(members, plus, rows)
-        if self.metric == "planar":
-            return self._stats_rows_planar(rows, sigma, agg, first)
-        return self._stats_rows(rows, sigma, agg, first)
-
-    def _stats_scalar(self, members, sigma, agg, plus, first):
-        phi = self._phi
-        lam = self._lam
-        p0 = phi[first]
-        l0 = lam[first]
-        same = True
-        for i in members:
-            if phi[i] != p0 or lam[i] != l0:
-                same = False
-                break
-        if same and (plus is None or (phi[plus] == p0 and lam[plus] == l0)):
-            # exact co-location keeps zero dispersion exactly zero
-            return self.points[first], 0.0
-        ux = self._ux
-        uy = self._uy
-        uz = self._uz
-        sx = sy = sz = 0.0
-        for i in members:
-            sx += ux[i]
-            sy += uy[i]
-            sz += uz[i]
-        total = len(members)
-        if plus is not None:
-            sx += ux[plus]
-            sy += uy[plus]
-            sz += uz[plus]
-            total += 1
-        norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if norm < _DEGENERATE_NORM * total:
-            center = self.points[first]
+            ids = members if plus is None else [*members, plus]
+            rows = None
+            if all(vecs[i] == v0 for i in ids):
+                # exact co-location keeps zero dispersion exactly zero
+                return v0, 0.0
+            sx = sy = sz = 0.0
+            for i in ids:
+                x, y, z = vecs[i]
+                sx += x
+                sy += y
+                sz += z
         else:
-            clat = math.degrees(math.asin(max(-1.0, min(1.0, sz / norm))))
-            clon = math.degrees(math.atan2(sy, sx))
-            center = GeoPoint(clat, clon)
-        phic = math.radians(center.lat)
-        lamc = math.radians(center.lon)
-        cosc = math.cos(phic)
-        cos = self._cos
-        sin = math.sin
-        asin = math.asin
-        sqrt = math.sqrt
-        scale = 2.0 * EARTH_RADIUS_KM / sigma
-        acc = 0.0
-        for i in members:
-            s1 = sin(0.5 * (phi[i] - phic))
-            s2 = sin(0.5 * (lam[i] - lamc))
-            h = s1 * s1 + cos[i] * cosc * s2 * s2
-            r = scale * asin(min(1.0, sqrt(h)))
-            r2 = r * r
-            if agg == "max":
-                if r2 > acc:
-                    acc = r2
-            else:
-                acc += r2
-        if plus is not None:
-            s1 = sin(0.5 * (phi[plus] - phic))
-            s2 = sin(0.5 * (lam[plus] - lamc))
-            h = s1 * s1 + cos[plus] * cosc * s2 * s2
-            r = scale * asin(min(1.0, sqrt(h)))
-            r2 = r * r
-            if agg == "max":
-                if r2 > acc:
-                    acc = r2
-            else:
-                acc += r2
-        return center, acc
-
-    def _stats_scalar_planar(self, members, sigma, agg, plus, first):
-        xs = self._x
-        ys = self._y
-        x0 = xs[first]
-        y0 = ys[first]
-        same = all(xs[i] == x0 and ys[i] == y0 for i in members)
-        if same and (plus is None or (xs[plus] == x0 and ys[plus] == y0)):
-            return self.points[first], 0.0
-        sx = sum(xs[i] for i in members)
-        sy = sum(ys[i] for i in members)
-        total = len(members)
-        if plus is not None:
-            sx += xs[plus]
-            sy += ys[plus]
-            total += 1
-        center = GeoPoint(sx / total, sy / total)
-        inv = 1.0 / (sigma * sigma)
-        acc = 0.0
-        ids = members if plus is None else [*members, plus]
-        for i in ids:
-            dx = xs[i] - center.lat
-            dy = ys[i] - center.lon
-            r2 = (dx * dx + dy * dy) * inv
-            if agg == "max":
-                if r2 > acc:
-                    acc = r2
-            else:
-                acc += r2
-        return center, acc
-
-    def _stats_rows(self, rows, sigma, agg, first):
-        if np.all(rows[:, 0] == rows[0, 0]) and np.all(rows[:, 1] == rows[0, 1]):
-            return self.points[first], 0.0
-        total = rows.shape[0]
-        sx = float(rows[:, 3].sum())
-        sy = float(rows[:, 4].sum())
-        sz = float(rows[:, 5].sum())
-        norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if norm < _DEGENERATE_NORM * total:
-            center = self.points[first]
-        else:
-            clat = math.degrees(math.asin(max(-1.0, min(1.0, sz / norm))))
-            clon = math.degrees(math.atan2(sy, sx))
-            center = GeoPoint(clat, clon)
-        d = _haversine_rows(rows, center)
-        r2 = d * d
-        r2 /= sigma * sigma
+            ids = None
+            rows = self._gather(members, plus, rows)
+            if (rows == rows[0]).all():
+                return v0, 0.0
+            sx, sy, sz = (float(rows[:, j].sum()) for j in range(3))
+        centre = self._centre(sx, sy, sz, total, v0)
         if agg == "max":
-            return center, float(r2.max())
-        return center, float(r2.sum())
+            r = self._km(self._max_chord2(centre, ids, rows)) / sigma
+            return centre, r * r
+        r = self._km_rows(np.asarray(self._chord2(centre, ids, rows))) / sigma
+        return centre, float((r * r).sum())
 
-    def _stats_rows_planar(self, rows, sigma, agg, first):
-        if np.all(rows[:, 0] == rows[0, 0]) and np.all(rows[:, 1] == rows[0, 1]):
-            return self.points[first], 0.0
-        cx = float(rows[:, 0].mean())
-        cy = float(rows[:, 1].mean())
-        dx = rows[:, 0] - cx
-        dy = rows[:, 1] - cy
-        r2 = (dx * dx + dy * dy) / (sigma * sigma)
-        if agg == "max":
-            return GeoPoint(cx, cy), float(r2.max())
-        return GeoPoint(cx, cy), float(r2.sum())
-
-    # -- distances -----------------------------------------------------------
-
-    def distances(self, members: Sequence[int], point) -> np.ndarray:
-        """Distances from every member to ``point``."""
-        k = len(members)
-        rows = self._table[np.fromiter(members, dtype=np.intp, count=k)]
-        if self.metric == "planar":
-            return np.hypot(rows[:, 0] - point[0], rows[:, 1] - point[1])
-        return _haversine_rows(rows, point)
+    # -- spans and join checks -----------------------------------------------
 
     def span(self, members: Sequence[int]) -> float:
         """Largest pairwise distance among members; 0 for fewer than two."""
-        k = len(members)
         best = 0.0
-        if k <= _SPAN_SCALAR_MAX:
-            dist = metric_distance(self.metric)
-            pts = [self.points[i] for i in members]
-            for a in range(k - 1):
-                for b in range(a + 1, k):
-                    d = dist(pts[a], pts[b])
-                    if d > best:
-                        best = d
-            return best
-        for a in range(k - 1):
-            m = float(self.distances(members[a + 1 :], self.points[members[a]]).max())
-            if m > best:
-                best = m
-        return best
+        for a in range(len(members) - 1):
+            c2 = self._max_chord2(self.vecs[members[a]], members[a + 1 :])
+            if c2 > best:
+                best = c2
+        return self._km(best)
 
     def within_limit(
         self,
         members: Sequence[int],
-        point,
+        i: int,
         limit_km: float,
         rows: np.ndarray | None = None,
     ) -> bool:
-        """True when every member lies within ``limit_km`` of ``point``."""
-        k = len(members)
-        if k == 0:
-            return True
-        if k <= _SCALAR_MAX:
-            if self.metric == "planar":
-                xs = self._x
-                ys = self._y
-                for i in members:
-                    if math.hypot(xs[i] - point[0], ys[i] - point[1]) > limit_km:
-                        return False
-                return True
-            phi = self._phi
-            lam = self._lam
-            cos = self._cos
-            phic = math.radians(point[0])
-            lamc = math.radians(point[1])
-            cosc = math.cos(phic)
-            scale = 2.0 * EARTH_RADIUS_KM
-            for i in members:
-                s1 = math.sin(0.5 * (phi[i] - phic))
-                s2 = math.sin(0.5 * (lam[i] - lamc))
-                h = s1 * s1 + cos[i] * cosc * s2 * s2
-                if scale * math.asin(min(1.0, math.sqrt(h))) > limit_km:
-                    return False
-            return True
-        if rows is None:
-            rows = self._table[np.fromiter(members, dtype=np.intp, count=k)]
-        if self.metric == "planar":
-            d = np.hypot(rows[:, 0] - point[0], rows[:, 1] - point[1])
-        else:
-            d = _haversine_rows(rows, point)
-        return bool(np.all(d <= limit_km))
-
-
-def _haversine_rows(rows: np.ndarray, point) -> np.ndarray:
-    phic = math.radians(point[0])
-    lamc = math.radians(point[1])
-    sphi = np.sin(0.5 * (rows[:, 0] - phic))
-    slam = np.sin(0.5 * (rows[:, 1] - lamc))
-    h = sphi * sphi + (rows[:, 2] * math.cos(phic)) * (slam * slam)
-    np.sqrt(h, out=h)
-    np.minimum(h, 1.0, out=h)
-    return (2.0 * EARTH_RADIUS_KM) * np.arcsin(h)
+        """True when every member lies within ``limit_km`` of node ``i``."""
+        return self._km(self._max_chord2(self.vecs[i], members, rows)) <= limit_km

@@ -27,14 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geograph import GeoGraph, assemble_graph
-from .geometry import metric_centroid, metric_distance
 from .metrics import Partition, SNParams, ng_modularity, sn_modularity
 
-# Relative slack on the distances that the O(1) bounds read.  Computed
-# distances carry a relative error of a few 1e-8 at most (the worst case is
-# haversine near antipodal points), so a bound widened by this much still
-# holds for the rounded values that the exact scans compare.
+# Relative slack on each distance that the O(1) bounds read.  Every distance
+# is mapped from a squared chord between stored vectors (see GeoKernel);
+# differences of nearby stored vectors are exact, so rounding stays relative
+# even for sub-millimetre communities, and the arc map adds at most a few
+# 1e-8 near antipodal points.  A bound widened by this much still holds for
+# the rounded values that the exact scans compare.
 _BOUND_SLACK = 1e-6
+
+# A move is applied only when it gains more than this.
+_MIN_GAIN = 1e-12
+
+# Coarsening stops after this many levels.
+_MAX_LEVELS = 50
 
 
 @dataclass(frozen=True)
@@ -70,20 +77,14 @@ class EngineConfig:
     """
 
     join_constraint_km: float = math.inf
-    min_gain: float = 1e-12
     node_order: str = "ascending"
     seed: int = 0
-    max_levels: int = 50
 
     def __post_init__(self):
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
         if not self.join_constraint_km > 0:
             raise ValueError("join_constraint_km must be positive (inf = unbounded)")
         if self.node_order not in ("ascending", "shuffle"):
             raise ValueError(f"unknown node_order {self.node_order!r}")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ class _Community:
         self.rows: np.ndarray | None = None
         self.sum_deg = 0.0
         self.sum_in = 0.0
+        # centre vector, as GeoKernel.stats returns it
         self.centroid = None
         self.dispersion = 0.0
         # sigma * sqrt(dispersion): no member is farther from the centroid
@@ -138,7 +140,6 @@ class LevelState:
                     self.self_w[i] = w
         metric = obj.params.metric if obj.kind == "sn" else "haversine"
         self.kernel = graph.kernel(metric)
-        self.distance = metric_distance(metric)
         self.comm = [int(c) for c in assignment]
         if len(self.comm) != n:
             raise ValueError("assignment length does not match the graph")
@@ -212,7 +213,7 @@ class LevelState:
             # reduces algebraically to the plain form; computing it that way
             # keeps the two objectives bit-identical on co-located nodes
             c.dispersion == 0.0
-            and self.graph.point(i) == c.centroid
+            and self.kernel.vecs[i] == c.centroid
         ):
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
         params = self.objective.params
@@ -233,7 +234,7 @@ class LevelState:
         floating-point operations with the smaller dispersion, and rounding
         is monotone, so the exact gain never exceeds it.
         """
-        if c.dispersion == 0.0 and self.graph.point(i) == c.centroid:
+        if c.dispersion == 0.0 and self.kernel.vecs[i] == c.centroid:
             return math.inf  # the co-located shortcut is O(1) already
         two_m = self.two_m
         k = self.graph.degrees[i]
@@ -347,7 +348,7 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     """Sweep nodes until a full sweep moves nothing; returns (moved, state).
 
     Each node is tested against every distinct neighboring community and a
-    fresh singleton; the best strictly-improving move (gain > min_gain) is
+    fresh singleton; the best strictly-improving move (gain > ``_MIN_GAIN``) is
     applied, preferring to stay on ties and the smallest community label
     otherwise.  With a finite join constraint, a community is a candidate
     only when the node is within the constraint of all current members.
@@ -369,14 +370,13 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     constrained = math.isfinite(limit)
     sn = obj.kind == "sn"
     communities = state.communities
-    distance = state.distance
+    kernel = state.kernel
     total_moved = 0
     while True:
         moved = 0
         for i in state.visit_order:
             old_label = state.comm[i]
             old = communities[old_label]
-            point_i = state.graph.point(i)
             kiin = state._neighbor_weights(i)
             back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
             best_label: int | None = old_label
@@ -386,15 +386,13 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
                     if label == old_label:
                         continue
                     cand = communities[label]
-                    d = distance(point_i, cand.centroid)
+                    d = kernel.distance(i, cand.centroid)
                     if state._gain_bound(i, cand, kiin[label], d) - back <= best_gain:
                         continue
                     if constrained:
                         ok = _join_verdict(d, cand.radius, limit)
                         if ok is None:
-                            ok = state.kernel.within_limit(
-                                cand.members, point_i, limit, rows=cand.rows
-                            )
+                            ok = kernel.within_limit(cand.members, i, limit, rows=cand.rows)
                         if not ok:
                             continue
                     gain = state._insertion_gain(i, cand, kiin[label]) - back
@@ -406,8 +404,8 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
                     if label == old_label:
                         continue
                     cand = communities[label]
-                    if constrained and not state.kernel.within_limit(
-                        cand.members, point_i, limit, rows=cand.rows
+                    if constrained and not kernel.within_limit(
+                        cand.members, i, limit, rows=cand.rows
                     ):
                         continue
                     gain = state._insertion_gain(i, cand, kiin[label]) - back
@@ -418,7 +416,7 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
             if fresh_gain > best_gain:
                 best_gain = fresh_gain
                 best_label = None
-            if best_label != old_label and best_gain > cfg.min_gain:
+            if best_label != old_label and best_gain > _MIN_GAIN:
                 state._apply_move(i, old_label, best_label, kiin)
                 moved += 1
         total_moved += moved
@@ -444,7 +442,7 @@ def aggregate_graph(
         raise ValueError("partition does not match the graph")
     if provenance is None:
         provenance = tuple(frozenset({i}) for i in range(g.num_nodes))
-    centroid_of = metric_centroid(metric)
+    kernel = g.kernel(metric)
     labels = p.assignment
     pair_weights: dict[tuple[int, int], float] = {}
     for i in range(g.num_nodes):
@@ -460,7 +458,7 @@ def aggregate_graph(
     coords = {}
     meta_prov = []
     for c, members in enumerate(p.communities):
-        center = centroid_of([g.point(i) for i in members])
+        center = kernel.centroid(members)
         coords[c] = (center.lat, center.lon)
         meta_prov.append(frozenset().union(*(provenance[i] for i in members)))
     meta = assemble_graph(
@@ -489,7 +487,7 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
     level_graph = g
     provenance = tuple(frozenset({i}) for i in range(n))
     metric = obj.params.metric if obj.kind == "sn" else "haversine"
-    for level in range(cfg.max_levels):
+    for level in range(_MAX_LEVELS):
         order = _visit_order(level_graph.num_nodes, cfg, level)
         state = LevelState.from_singletons(level_graph, obj, visit_order=order)
         moved, _ = local_move_pass(state, obj, cfg)

@@ -3,7 +3,7 @@
 NG-modularity of a partition is (1/2m) * sum over communities of
 (internal ordered-pair weight - squared degree sum / 2m).  Spatially-near
 (SN) modularity divides each community term by 1 + dispersion, where
-dispersion aggregates the squared distances of members to the community
+dispersion aggregates each member's squared distance to the community
 center, normalized by the scale sigma.  Internal sums run over ordered
 pairs, so each undirected edge counts twice and a self-loop's stored weight
 counts once; this makes the single-community value exactly zero.
@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .geograph import GeoGraph
-from .geometry import GeoPoint
-
-AGG_NAMES = ("max", "sum")
+from .geometry import AGG_NAMES, METRIC_NAMES, GeoPoint
 
 
 @dataclass(frozen=True)
@@ -23,7 +21,7 @@ class SNParams:
     """Parameters of the spatially-near objective.
 
     sigma is the distance scale (km under the great-circle metric); agg
-    aggregates members' squared normalized center distances.
+    aggregates each member's squared normalized distance to the center.
     """
 
     sigma: float
@@ -35,7 +33,7 @@ class SNParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {self.agg!r}")
-        if self.metric not in ("haversine", "planar"):
+        if self.metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.metric!r}")
 
 
@@ -175,8 +173,9 @@ def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> Co
     if not members:
         raise ValueError("empty community")
     sum_in, sum_deg = _community_sums(g, members, set(members))
-    centroid, dispersion = g.kernel(params.metric).stats(members, params.sigma, params.agg)
-    return CommunityStats(sum_in, sum_deg, centroid, dispersion)
+    kernel = g.kernel(params.metric)
+    _, dispersion = kernel.stats(members, params.sigma, params.agg)
+    return CommunityStats(sum_in, sum_deg, kernel.centroid(members), dispersion)
 
 
 def _quality(g, members, params, kernel) -> float:

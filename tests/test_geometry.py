@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snmod.geograph import GeoGraph
 from snmod.geometry import (
+    AGG_NAMES,
     EARTH_RADIUS_KM,
+    METRIC_NAMES,
     GeoKernel,
     GeoPoint,
     haversine_km,
@@ -16,8 +20,9 @@ from snmod.geometry import (
     planar_distance,
     spherical_centroid,
 )
+from snmod.metrics import SNParams
 
-from _naive import naive_center, naive_haversine, naive_span
+from _naive import naive_center, naive_dispersion, naive_haversine, naive_planar, naive_span
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-179.9, max_value=180.0, allow_nan=False)
@@ -93,21 +98,30 @@ def test_span_edge_cases():
     assert max_pairwise_span_km(pts) == pytest.approx(10007.543, abs=1e-3)
 
 
-@given(pts=st.lists(points, min_size=2, max_size=8))
-def test_span_equals_exhaustive_scan(pts):
-    assert max_pairwise_span_km(pts) == pytest.approx(naive_span(pts), abs=1e-9)
+@given(pts=st.lists(points, min_size=2, max_size=8), metric=st.sampled_from(METRIC_NAMES))
+def test_span_equals_exhaustive_scan(pts, metric):
+    assert max_pairwise_span_km(pts, metric) == pytest.approx(naive_span(pts, metric), abs=1e-9)
 
 
 def test_span_vectorized_path_matches_scan():
     rng = random.Random(3)
     pts = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(60)]
-    assert max_pairwise_span_km(pts) == pytest.approx(naive_span(pts), abs=1e-9)
+    for metric in METRIC_NAMES:
+        assert max_pairwise_span_km(pts, metric) == pytest.approx(naive_span(pts, metric), abs=1e-9)
 
 
 def test_planar_metric():
     assert planar_distance((0, 0), (3, 4)) == 5.0
     assert planar_centroid([(0, 0), (2, 4)]) == GeoPoint(1.0, 2.0)
     assert max_pairwise_span_km([(0, 0), (3, 4), (1, 1)], metric="planar") == 5.0
+
+
+def _as_point(vec, metric):
+    """(lat, lon) of a kernel centre vector."""
+    x, y, z = vec
+    if metric == "planar":
+        return x, y
+    return math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x))
 
 
 class TestGeoKernel:
@@ -118,28 +132,30 @@ class TestGeoKernel:
     def test_stats_matches_scalar_reference(self, size):
         rng = random.Random(size)
         pts = self._random_points(rng, 100)
-        kernel = GeoKernel(pts)
+        g = GeoGraph.from_edges([], dict(enumerate(pts)), extra_nodes=range(100))
         members = sorted(rng.sample(range(100), size))
-        for agg in ("max", "sum"):
+        for metric, agg in itertools.product(METRIC_NAMES, AGG_NAMES):
+            kernel = GeoKernel(pts, metric)
             center, disp = kernel.stats(members, 500.0, agg)
-            ref_center = spherical_centroid([pts[i] for i in members])
-            assert center.lat == pytest.approx(ref_center.lat, abs=1e-9)
-            assert center.lon == pytest.approx(ref_center.lon, abs=1e-9)
-            terms = [(haversine_km(pts[i], ref_center) / 500.0) ** 2 for i in members]
-            want = max(terms) if agg == "max" else sum(terms)
+            ref_center = naive_center([pts[i] for i in members], metric)
+            lat, lon = _as_point(center, metric)
+            assert lat == pytest.approx(ref_center[0], abs=1e-9)
+            assert lon == pytest.approx(ref_center[1], abs=1e-9)
+            want = naive_dispersion(g, members, SNParams(500.0, agg, metric))
             assert disp == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("size", [1, 3, 30])
     def test_plus_equals_enlarged_set(self, size):
         rng = random.Random(size + 100)
         pts = self._random_points(rng, 64)
-        kernel = GeoKernel(pts)
         members = sorted(rng.sample(range(63), size))
         extra = 63
-        c1, d1 = kernel.stats(members, 800.0, "max", plus=extra)
-        c2, d2 = kernel.stats(sorted(members + [extra]), 800.0, "max")
-        assert c1.lat == pytest.approx(c2.lat, abs=1e-9)
-        assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-12)
+        for metric in METRIC_NAMES:
+            kernel = GeoKernel(pts, metric)
+            c1, d1 = kernel.stats(members, 800.0, "max", plus=extra)
+            c2, d2 = kernel.stats(sorted(members + [extra]), 800.0, "max")
+            assert _as_point(c1, metric)[0] == pytest.approx(_as_point(c2, metric)[0], abs=1e-9)
+            assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-12)
 
     def test_rows_cache_gives_same_answer(self):
         rng = random.Random(9)
@@ -157,7 +173,8 @@ class TestGeoKernel:
         kernel = GeoKernel(pts)
         for members in ([0, 1], list(range(30))):
             center, disp = kernel.stats(members, 1e-6, "max")
-            assert center == GeoPoint(10.0, 20.0)
+            assert center == kernel.vecs[0]
+            assert kernel.centroid(members) == GeoPoint(10.0, 20.0)
             assert disp == 0.0
 
     def test_empty_raises(self):
@@ -167,23 +184,24 @@ class TestGeoKernel:
 
     def test_within_limit(self):
         pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(0, 2)]
-        kernel = GeoKernel(pts)
-        origin = GeoPoint(0, 0)
-        d2 = haversine_km(origin, pts[2])
-        assert kernel.within_limit([0, 1, 2], origin, d2 + 1e-9)
-        assert not kernel.within_limit([0, 1, 2], origin, d2 - 1.0)
-        assert kernel.within_limit([], origin, 0.0)
-        big = GeoKernel([GeoPoint(0, i * 0.01) for i in range(60)])
-        members = list(range(60))
-        limit = haversine_km(GeoPoint(0, 0), GeoPoint(0, 0.59))
-        assert big.within_limit(members, GeoPoint(0, 0), limit + 1e-9)
-        assert not big.within_limit(members, GeoPoint(0, 0), limit - 1e-3)
+        for metric in METRIC_NAMES:
+            dist = naive_planar if metric == "planar" else naive_haversine
+            kernel = GeoKernel(pts, metric)
+            d2 = dist(pts[0], pts[2])
+            assert kernel.within_limit([0, 1, 2], 0, d2 + 1e-9)
+            assert not kernel.within_limit([0, 1, 2], 0, d2 - 1.0)
+            assert kernel.within_limit([], 0, 0.0)
+            big = GeoKernel([GeoPoint(0, i * 0.01) for i in range(60)], metric)
+            members = list(range(60))
+            limit = dist(GeoPoint(0, 0), GeoPoint(0, 0.59))
+            assert big.within_limit(members, 0, limit + 1e-9)
+            assert not big.within_limit(members, 0, limit - 1e-3)
 
     def test_planar_kernel_stats(self):
         pts = [GeoPoint(1, 0), GeoPoint(-1, 0), GeoPoint(0, 0), GeoPoint(50, 100)]
         kernel = GeoKernel(pts, "planar")
         center, disp = kernel.stats([0, 1, 2], 1.0, "max")
-        assert center == GeoPoint(0.0, 0.0)
+        assert center == (0.0, 0.0, 0.0)
         assert disp == pytest.approx(1.0, abs=1e-12)
         _, disp_sum = kernel.stats([0, 1, 2], 1.0, "sum")
         assert disp_sum == pytest.approx(2.0, abs=1e-12)
