@@ -24,7 +24,6 @@ from .geometry import (
 from .louvain import (
     EngineConfig,
     LevelState,
-    MetaGraph,
     Objective,
     aggregate_graph,
     local_move_pass,

@@ -17,6 +17,14 @@ from entering a community unless it is within a given distance of every
 current member, which is what the iterated-constraint heuristic in
 :mod:`snmod.snic` relies on; the same center distance accepts or rejects
 most candidates in O(1) and leaves only the rest to a member scan.
+
+Every move stamps the two communities it touches with a per-level move
+clock.  A node's decision reads only its own community, its neighbors'
+labels and the neighboring communities' caches, so a node that stayed is
+skipped outright while none of the communities it read has been stamped
+since, and a node whose own community is unstamped reuses its last removal
+gain.  Both are exact: the same inputs give the same decision, and the
+visit order and stopping rule are unchanged.
 """
 
 import bisect
@@ -87,14 +95,6 @@ class EngineConfig:
             raise ValueError(f"unknown node_order {self.node_order!r}")
 
 
-@dataclass(frozen=True)
-class MetaGraph:
-    """A coarsened graph plus, per meta-node, the original node ids it covers."""
-
-    graph: GeoGraph
-    provenance: tuple[frozenset[int], ...]
-
-
 def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
     """Evaluate a partition under the given objective."""
     if obj.kind == "ng":
@@ -104,11 +104,13 @@ def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
 
 class _Community:
     __slots__ = (
-        "members", "rows", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality"
+        "members", "rows", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality",
+        "stamp",
     )
 
     def __init__(self):
         self.members: list[int] = []
+        # kernel.member_rows(members), gathered under the SN objective only
         self.rows: np.ndarray | None = None
         self.sum_deg = 0.0
         self.sum_in = 0.0
@@ -118,6 +120,8 @@ class _Community:
         # sigma * sqrt(dispersion): no member is farther from the centroid
         self.radius = 0.0
         self.quality = 0.0
+        # move clock of the last move that touched this community
+        self.stamp = 0
 
 
 class LevelState:
@@ -125,7 +129,8 @@ class LevelState:
 
     Holds the node -> community assignment plus per-community caches.  A
     state is built for one objective and is single-threaded; the underlying
-    graph is never mutated.
+    graph is never mutated.  ``clock`` counts the moves applied; each move
+    stamps its source and target community with the new count.
     """
 
     def __init__(self, graph: GeoGraph, obj: Objective, assignment, visit_order=None):
@@ -144,6 +149,7 @@ class LevelState:
         if len(self.comm) != n:
             raise ValueError("assignment length does not match the graph")
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
+        self.clock = 0
         self.communities: dict[int, _Community] = {}
         for i, c in enumerate(self.comm):
             entry = self.communities.setdefault(c, _Community())
@@ -184,9 +190,9 @@ class LevelState:
     # -- internals ---------------------------------------------------------
 
     def _refresh_geo(self, c: _Community) -> None:
-        c.rows = self.kernel.member_rows(c.members)
         if self.objective.kind != "sn" or self.two_m == 0:
             return
+        c.rows = self.kernel.member_rows(c.members)
         params = self.objective.params
         c.centroid, c.dispersion = self.kernel.stats(
             c.members, params.sigma, params.agg, rows=c.rows
@@ -284,6 +290,8 @@ class LevelState:
         """Move i out of old_label into new_label (None = fresh singleton)."""
         old = self.communities[old_label]
         k = self.graph.degrees[i]
+        self.clock += 1
+        old.stamp = self.clock
         old.members.remove(i)
         old.sum_deg -= k
         old.sum_in -= 2.0 * kiin.get(old_label, 0.0) + self.self_w[i]
@@ -297,6 +305,7 @@ class LevelState:
             target = self.communities.setdefault(new_label, _Community())
         else:
             target = self.communities[new_label]
+        target.stamp = self.clock
         bisect.insort(target.members, i)
         target.sum_deg += k
         target.sum_in += 2.0 * kiin.get(new_label, 0.0) + self.self_w[i]
@@ -344,6 +353,16 @@ def _join_verdict(d: float, radius: float, limit: float) -> bool | None:
     return None
 
 
+def _unchanged(communities: dict[int, _Community], labels, clock: int) -> bool:
+    """True when every labelled community still exists and no move has
+    stamped it after move clock ``clock``."""
+    for label in labels:
+        c = communities.get(label)
+        if c is None or c.stamp > clock:
+            return False
+    return True
+
+
 def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = EngineConfig()):
     """Sweep nodes until a full sweep moves nothing; returns (moved, state).
 
@@ -361,6 +380,16 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     decided in O(1) (:func:`_join_verdict`).  Candidates are still visited
     in label order, so a skipped one could never have been chosen and the
     moves are exactly those of a full scan.
+
+    A node that decides to stay records the move clock, the labels it read
+    (its own community and every neighboring one) and its removal gain.  Its
+    next visit is skipped while all of those communities exist unstamped
+    since that clock (:func:`_unchanged`): a neighbor that moves stamps the
+    community it leaves, and labels are never reused, so the skipped visit
+    would have read the same values and stayed again.  A visit that does run
+    reuses the recorded removal gain while the node's own community is
+    unstamped.  Under either objective the moves are those of visiting
+    every node.
     """
     if obj != state.objective:
         raise ValueError("objective does not match the one the state was built for")
@@ -371,14 +400,22 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     sn = obj.kind == "sn"
     communities = state.communities
     kernel = state.kernel
+    # per node: (clock, labels read, removal gain) of its last stay, else None
+    stays: list[tuple | None] = [None] * state.graph.num_nodes
     total_moved = 0
     while True:
         moved = 0
         for i in state.visit_order:
+            seen = stays[i]
+            if seen is not None and _unchanged(communities, seen[1], seen[0]):
+                continue
             old_label = state.comm[i]
             old = communities[old_label]
             kiin = state._neighbor_weights(i)
-            back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
+            if seen is not None and _unchanged(communities, (old_label,), seen[0]):
+                back = seen[2]
+            else:
+                back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
             best_label: int | None = old_label
             best_gain = 0.0
             if sn:
@@ -404,9 +441,7 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
                     if label == old_label:
                         continue
                     cand = communities[label]
-                    if constrained and not kernel.within_limit(
-                        cand.members, i, limit, rows=cand.rows
-                    ):
+                    if constrained and not kernel.within_limit(cand.members, i, limit):
                         continue
                     gain = state._insertion_gain(i, cand, kiin[label]) - back
                     if gain > best_gain:
@@ -418,30 +453,25 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
                 best_label = None
             if best_label != old_label and best_gain > _MIN_GAIN:
                 state._apply_move(i, old_label, best_label, kiin)
+                stays[i] = None
                 moved += 1
+            else:
+                stays[i] = (state.clock, (old_label, *kiin), back)
         total_moved += moved
         if moved == 0:
             return total_moved, state
 
 
-def aggregate_graph(
-    g: GeoGraph,
-    p: Partition,
-    metric: str = "haversine",
-    provenance: tuple[frozenset[int], ...] | None = None,
-) -> MetaGraph:
-    """Collapse each community into a meta-node.
+def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> GeoGraph:
+    """Collapse each community into a meta-node; returns the coarsened graph.
 
-    Meta-edge weights sum the weights between the two communities; each
-    meta-node carries a self-loop equal to its community's ordered-pair
-    internal weight, so total weight is conserved.  Meta-nodes sit at their
-    community's center.  ``provenance`` maps current nodes to original ids
-    (defaults to singletons) and is composed through the coarsening.
+    Meta-node ``c`` stands for community ``c`` of ``p``.  Meta-edge weights
+    sum the weights between the two communities; each meta-node carries a
+    self-loop equal to its community's ordered-pair internal weight, so total
+    weight is conserved.  Meta-nodes sit at their community's center.
     """
     if len(p.assignment) != g.num_nodes:
         raise ValueError("partition does not match the graph")
-    if provenance is None:
-        provenance = tuple(frozenset({i}) for i in range(g.num_nodes))
     kernel = g.kernel(metric)
     labels = p.assignment
     pair_weights: dict[tuple[int, int], float] = {}
@@ -456,15 +486,10 @@ def aggregate_graph(
                 # twice (once per endpoint row), existing loops once
                 pair_weights[(ci, ci)] = pair_weights.get((ci, ci), 0.0) + w
     coords = {}
-    meta_prov = []
     for c, members in enumerate(p.communities):
         center = kernel.centroid(members)
         coords[c] = (center.lat, center.lon)
-        meta_prov.append(frozenset().union(*(provenance[i] for i in members)))
-    meta = assemble_graph(
-        range(p.num_communities), coords, pair_weights, allow_self_loops=True
-    )
-    return MetaGraph(meta, tuple(meta_prov))
+    return assemble_graph(range(p.num_communities), coords, pair_weights, allow_self_loops=True)
 
 
 def _visit_order(n: int, cfg: EngineConfig, level: int) -> list[int]:
@@ -482,10 +507,8 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
     be recomputed on the original graph (see :func:`objective_value`); at
     coarsened levels the spatially-near gain sees meta-node locations only.
     """
-    n = g.num_nodes
-    node_to_meta = list(range(n))
+    node_to_meta = list(range(g.num_nodes))
     level_graph = g
-    provenance = tuple(frozenset({i}) for i in range(n))
     metric = obj.params.metric if obj.kind == "sn" else "haversine"
     for level in range(_MAX_LEVELS):
         order = _visit_order(level_graph.num_nodes, cfg, level)
@@ -497,7 +520,5 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
         node_to_meta = [p_level.assignment[c] for c in node_to_meta]
         if p_level.num_communities == level_graph.num_nodes:
             break
-        meta = aggregate_graph(level_graph, p_level, metric=metric, provenance=provenance)
-        level_graph = meta.graph
-        provenance = meta.provenance
+        level_graph = aggregate_graph(level_graph, p_level, metric=metric)
     return Partition.from_assignment(node_to_meta)

@@ -154,31 +154,21 @@ class TestLocalMovePass:
 class TestAggregateGraph:
     def test_singleton_partition_is_isomorphic(self, bridged):
         meta = aggregate_graph(bridged, Partition.singletons(6))
-        assert meta.graph.two_m == bridged.two_m
-        assert meta.graph.adj == bridged.adj
-        assert all(len(p) == 1 for p in meta.provenance)
+        assert meta.two_m == bridged.two_m
+        assert meta.adj == bridged.adj
 
     def test_bridged_triangle_aggregation(self, bridged):
-        meta = aggregate_graph(bridged, TRIANGLES)
-        g = meta.graph
+        g = aggregate_graph(bridged, TRIANGLES)
         assert g.num_nodes == 2
         assert dict(g.adj[0])[0] == 6.0  # self-loop carries internal pairs
         assert dict(g.adj[1])[1] == 6.0
         assert dict(g.adj[0])[1] == 1.0
         assert g.two_m == 14.0
-        assert meta.provenance == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 
     def test_meta_location_of_colocated_community(self, geo_clusters):
         meta = aggregate_graph(geo_clusters, TRIANGLES)
-        assert (meta.graph.nodes[0].lat, meta.graph.nodes[0].lon) == (0.0, 0.0)
-        assert (meta.graph.nodes[1].lat, meta.graph.nodes[1].lon) == (0.0, 0.9)
-
-    def test_provenance_composes_across_levels(self, bridged):
-        meta1 = aggregate_graph(bridged, TRIANGLES)
-        meta2 = aggregate_graph(
-            meta1.graph, Partition((0, 0)), provenance=meta1.provenance
-        )
-        assert meta2.provenance == (frozenset(range(6)),)
+        assert (meta.nodes[0].lat, meta.nodes[0].lon) == (0.0, 0.0)
+        assert (meta.nodes[1].lat, meta.nodes[1].lon) == (0.0, 0.9)
 
     @given(seed=seeds)
     @settings(max_examples=30, deadline=None)
@@ -187,7 +177,7 @@ class TestAggregateGraph:
         g = random_geo_graph(rng, rng.randint(2, 12))
         p = random_partition(rng, g.num_nodes)
         meta = aggregate_graph(g, p)
-        coarse = ng_modularity(meta.graph, Partition.singletons(meta.graph.num_nodes))
+        coarse = ng_modularity(meta, Partition.singletons(meta.num_nodes))
         assert coarse == pytest.approx(ng_modularity(g, p), abs=1e-12)
 
 
@@ -359,6 +349,113 @@ class TestBoundThenVerify:
         assert pruned_work["checks"] < work["checks"]
 
 
+def _no_skip(communities, labels, clock):
+    """Stand-in for ``louvain._unchanged`` under which every visit runs in
+    full and recomputes its removal gain."""
+    return False
+
+
+def _detect(g, mode: str, params: SNParams, cfg: EngineConfig):
+    """Partition, plus the SNIC trace values for mode 'snic'."""
+    if mode == "snic":
+        run = run_snic(g, SnicConfig(params, max_iters=10, engine=cfg))
+        trace = [(e.iteration, e.constraint_km, e.sn_modularity, e.span_km) for e in run.trace.entries]
+        return run.partition, trace
+    obj = Objective.ng() if mode == "ng" else Objective.sn(params)
+    return run_louvain(g, obj, cfg), None
+
+
+class TestStampSkip:
+    @given(
+        seed=seeds,
+        mode=st.sampled_from(["ng", "sn", "snic"]),
+        metric=st.sampled_from(["haversine", "planar"]),
+        agg=st.sampled_from(["max", "sum"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_skips_change_no_decision(self, seed, mode, metric, agg):
+        rng = random.Random(seed)
+        g = random_geo_graph(rng, rng.randint(2, 40), edge_p=rng.choice([0.05, 0.15, 0.4]))
+        scale = rng.choice([0.1, 1.0, 10.0])
+        params = SNParams((1500.0 if metric == "haversine" else 30.0) * scale, agg=agg, metric=metric)
+        limit = math.inf if mode == "snic" else rng.choice([math.inf, params.sigma])
+        cfg = EngineConfig(join_constraint_km=limit, node_order="shuffle", seed=seed)
+        skipping = _detect(g, mode, params, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(louvain, "_unchanged", _no_skip)
+            full = _detect(g, mode, params, cfg)
+        assert skipping == full
+
+    @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
+    def test_skips_save_visits_and_scans(self, monkeypatch, metric, sigma):
+        spec = SyntheticSpec(
+            n_nodes=300, n_clusters=5, p_intra=0.06, p_inter=0.004,
+            spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=4,
+        )
+        g, _ = planted_geo_clusters(spec)
+        cfg = EngineConfig(node_order="shuffle", seed=4)
+        work = {"visits": 0, "scans": 0}
+        stats, neighbor_weights = GeoKernel.stats, LevelState._neighbor_weights
+
+        def counted_stats(self, *args, **kwargs):
+            work["scans"] += 1
+            return stats(self, *args, **kwargs)
+
+        def counted_visit(self, i):
+            work["visits"] += 1
+            return neighbor_weights(self, i)
+
+        monkeypatch.setattr(GeoKernel, "stats", counted_stats)
+        monkeypatch.setattr(LevelState, "_neighbor_weights", counted_visit)
+
+        def measured(mode):
+            work.update(visits=0, scans=0)
+            return _detect(g, mode, SNParams(sigma, metric=metric), cfg), dict(work)
+
+        skipping = {mode: measured(mode) for mode in ("ng", "snic")}
+        monkeypatch.setattr(louvain, "_unchanged", _no_skip)
+        full = {mode: measured(mode) for mode in ("ng", "snic")}
+        for mode in ("ng", "snic"):
+            assert skipping[mode][0] == full[mode][0]
+            assert skipping[mode][1]["visits"] < full[mode][1]["visits"]
+        assert skipping["snic"][1]["scans"] < full["snic"][1]["scans"]
+
+    def test_stamp_catches_a_join_the_node_cannot_see(self, monkeypatch):
+        # v = 0 is tied only to u = 1, whose community {1, 2} lies 3 units
+        # south of v.  w = 3, tied to u but not to v, sits north-east of v;
+        # 4-5 is an unrelated pair that only adds to 2m.  Visiting v first,
+        # joining {1, 2} loses, so v stays.  Then w joins {1, 2}, which pulls
+        # that community's centre north: adding v now shrinks its dispersion,
+        # and joining wins.  Neither v's community nor any neighbour's label
+        # changed; only the stamp on {1, 2} tells v's next visit to run.
+        coords = {0: (0.0, 0.0), 1: (1.0, -3.0), 2: (0.0, -3.0), 3: (1.0, 1.0), 4: (0.0, 9.0), 5: (0.0, 9.0)}
+        g = GeoGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0), (1, 3, 3.0), (4, 5, 3.0)], coords)
+        obj = Objective.sn(SNParams(1.0, metric="planar"))
+        start = Partition.from_assignment([0, 1, 1, 2, 3, 3])
+        order = [0, 3, 1, 2, 4, 5]
+        moves = []
+        apply_move = LevelState._apply_move
+
+        def logged_move(self, i, old_label, new_label, kiin):
+            moves.append((i, new_label))
+            return apply_move(self, i, old_label, new_label, kiin)
+
+        monkeypatch.setattr(LevelState, "_apply_move", logged_move)
+        state = LevelState.from_partition(g, start, obj, visit_order=order)
+        label_c = state.comm[1]
+        assert move_gain(state, 0, label_c, obj) < 0.0
+        _, state = local_move_pass(state, obj)
+        assert moves == [(3, label_c), (0, label_c)]
+        assert state.extract_partition() == Partition.from_assignment([0, 0, 0, 0, 1, 1])
+
+        # a skip that checked labels alone would have kept v where it was
+        labels_only = lambda communities, labels, clock: all(c in communities for c in labels)
+        monkeypatch.setattr(louvain, "_unchanged", labels_only)
+        moves.clear()
+        _, state = local_move_pass(LevelState.from_partition(g, start, obj, visit_order=order), obj)
+        assert moves == [(3, label_c)]
+
+
 def _assert_caches_fresh(state: LevelState) -> None:
     """Compare every community cache with a recomputation from scratch."""
     fresh = LevelState.from_partition(state.graph, state.extract_partition(), state.objective)
@@ -399,6 +496,11 @@ def test_incremental_caches_do_not_drift(monkeypatch, obj, cfg):
     def checked_pass(state, obj, cfg=EngineConfig()):
         result = original(state, obj, cfg)
         _assert_caches_fresh(state)
+        assert all(c.stamp <= state.clock for c in state.communities.values())
+        # no skipped visit hid an improving move: visiting every node moves nothing
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(louvain, "_unchanged", _no_skip)
+            assert original(state, obj, cfg)[0] == 0
         levels.append(state.graph.num_nodes)
         return result
 
