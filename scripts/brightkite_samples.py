@@ -22,6 +22,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from snmod.cli import write_graph_files
 from snmod.geograph import load_graph
 from snmod.sampler import SampleSpec, snowball_sample
 
@@ -49,14 +50,7 @@ def main():
         sample = snowball_sample(full, SampleSpec(args.size, seed=seed))
         edges_path = out_dir / f"sample{seed:02d}_edges.tsv"
         coords_path = out_dir / f"sample{seed:02d}_coords.csv"
-        with open(edges_path, "w", encoding="utf-8") as fh:
-            for u, v, w in sample.undirected_edges():
-                fh.write(f"{sample.external_ids[u]}\t{sample.external_ids[v]}\t{w:g}\n")
-        with open(coords_path, "w", encoding="utf-8") as fh:
-            fh.write("node,lat,lon\n")
-            for i in range(sample.num_nodes):
-                node = sample.nodes[i]
-                fh.write(f"{sample.external_ids[i]},{node.lat!r},{node.lon!r}\n")
+        write_graph_files(sample, edges_path, coords_path)
         print(f"sample {seed}: n={sample.num_nodes} m={sample.num_edges} -> {edges_path}")
 
 

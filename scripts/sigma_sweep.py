@@ -17,7 +17,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from snmod.cli import IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep
+from snmod.cli import IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep, write_trace_csv
 from snmod.geograph import load_graph
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
@@ -70,8 +70,7 @@ def main():
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(exist_ok=True)
     for (name, sigma, seed), trace in traces.items():
-        target = trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv"
-        target.write_text("\n".join(trace.csv_rows()) + "\n")
+        write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
 
     by_sigma: dict[float, dict[str, list[float]]] = {s: {} for s in SIGMAS}
     for row in rows:

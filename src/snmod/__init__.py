@@ -2,7 +2,6 @@
 
 from .geograph import (
     GeoGraph,
-    GeoNode,
     GraphDataError,
     GraphFormatError,
     assemble_graph,
@@ -15,10 +14,8 @@ from .geometry import (
     EARTH_RADIUS_KM,
     GeoKernel,
     GeoPoint,
-    haversine_km,
     max_pairwise_span_km,
     planar_centroid,
-    planar_distance,
     spherical_centroid,
 )
 from .louvain import (

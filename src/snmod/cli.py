@@ -22,7 +22,7 @@ from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, Objective, run_louvain
 from .metrics import Partition, SNParams, ng_modularity, sn_modularity, community_quality
 from .sampler import SampleSpec, snowball_sample
-from .snic import SnicConfig, run_snic
+from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
 
 SWEEP_HEADER = "dataset,sigma_km,algorithm,seed,sn_modularity,ng_modularity,seconds,iterations"
@@ -79,6 +79,28 @@ def read_partition_csv(path, g: GeoGraph) -> Partition:
     if unknown:
         raise GraphDataError(f"partition references unknown node {sorted(unknown)[0]}")
     return Partition.from_assignment(labels)
+
+
+def write_graph_files(g: GeoGraph, edges_path, coords_path) -> None:
+    """Write an edge file and a ``node,lat,lon`` file that reload to ``g``.
+
+    Weights and coordinates are written as ``repr`` floats, which parse back
+    to the same values bit for bit.
+    """
+    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
+        for u, v, w in g.undirected_edges():
+            fh.write(f"{g.external_ids[u]}\t{g.external_ids[v]}\t{w!r}\n")
+    with open(coords_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("node,lat,lon\n")
+        for ext, (lat, lon) in zip(g.external_ids, g.nodes):
+            fh.write(f"{ext},{lat!r},{lon!r}\n")
+
+
+def write_trace_csv(path, trace: SnicTrace) -> None:
+    """Write a SNIC trace's CSV rows (header first)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in trace.csv_rows():
+            fh.write(row + "\n")
 
 
 def export_geojson(g: GeoGraph, p: Partition, path) -> None:
@@ -224,9 +246,7 @@ def cmd_detect(args) -> int:
     )
     write_partition_csv(args.out, g, partition)
     if args.trace and trace is not None:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            for row in trace.csv_rows():
-                fh.write(row + "\n")
+        write_trace_csv(args.trace, trace)
     ng = ng_modularity(g, partition)
     sn = sn_modularity(g, partition, params)
     print(
@@ -315,10 +335,7 @@ def cmd_sweep(args) -> int:
         trace_dir = Path(args.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         for (name, sigma, seed), trace in traces.items():
-            target = trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv"
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                for row in trace.csv_rows():
-                    fh.write(row + "\n")
+            write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -336,14 +353,7 @@ def cmd_sample(args) -> int:
     sample = snowball_sample(g, SampleSpec(args.size, args.seed))
     edges_path = f"{args.out_prefix}_edges.tsv"
     coords_path = f"{args.out_prefix}_coords.csv"
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, v, w in sample.undirected_edges():
-            fh.write(f"{sample.external_ids[u]}\t{sample.external_ids[v]}\t{w:.12g}\n")
-    with open(coords_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,lat,lon\n")
-        for i in range(sample.num_nodes):
-            node = sample.nodes[i]
-            fh.write(f"{sample.external_ids[i]},{node.lat:.12g},{node.lon:.12g}\n")
+    write_graph_files(sample, edges_path, coords_path)
     print(
         f"sampled {sample.num_nodes} nodes, {sample.num_edges} edges -> "
         f"{edges_path}, {coords_path}"
@@ -354,9 +364,9 @@ def cmd_sample(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_io_flags(p, coords_required=True):
-    p.add_argument("--edges", required=True, help="edge list file (TSV)")
-    p.add_argument("--coords", required=coords_required, help="coordinate file (CSV or check-ins)")
+def _add_io_flags(p, required=True):
+    p.add_argument("--edges", required=required, help="edge list file (TSV)")
+    p.add_argument("--coords", required=required, help="coordinate file (CSV or check-ins)")
     p.add_argument("--coord-policy", choices=("mean", "last"), default="mean")
     p.add_argument("--missing-policy", choices=("error", "drop"), default="error")
 
@@ -388,10 +398,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("sweep", help="sigma sweep over datasets")
-    p.add_argument("--edges")
-    p.add_argument("--coords")
-    p.add_argument("--coord-policy", choices=("mean", "last"), default="mean")
-    p.add_argument("--missing-policy", choices=("error", "drop"), default="error")
+    _add_io_flags(p, required=False)
     p.add_argument("--dataset-name", default="dataset")
     p.add_argument("--synthetic", help="key=value spec: nodes,clusters,p_intra,p_inter,spacing_km,spread_km,mode")
     p.add_argument("--graph-seeds", default="0", help="generator seeds (one dataset each)")

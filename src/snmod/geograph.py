@@ -11,7 +11,6 @@ fully deterministic.
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .geometry import GeoKernel, GeoPoint, spherical_centroid
@@ -25,20 +24,11 @@ class GraphDataError(ValueError):
     """Structurally invalid graph data (weights, ids, coordinate coverage)."""
 
 
-@dataclass(frozen=True)
-class GeoNode:
-    """An internal node: dense id plus location."""
-
-    id: int
-    lat: float
-    lon: float
-
-    def point(self) -> GeoPoint:
-        return GeoPoint(self.lat, self.lon)
-
-
 class GeoGraph:
     """Immutable undirected weighted graph whose nodes carry locations.
+
+    ``nodes[i]`` is internal node ``i``'s location, a :class:`GeoPoint`; it
+    is the only copy, and the geometry kernels read it in place.
 
     ``two_m`` is the total weight over ordered node pairs and equals the sum
     of weighted degrees.  Self-loops are rejected by the public loaders; the
@@ -137,12 +127,6 @@ class GeoGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def point(self, i: int) -> GeoPoint:
-        return self.nodes[i].point()
-
-    def points(self) -> list[GeoPoint]:
-        return [n.point() for n in self.nodes]
-
     def kernel(self, metric: str = "haversine") -> GeoKernel:
         """The read-only geometry kernel over all nodes, built on first use.
 
@@ -151,7 +135,7 @@ class GeoGraph:
         """
         kernel = self._kernels.get(metric)
         if kernel is None:
-            kernel = self._kernels[metric] = GeoKernel(self.points(), metric)
+            kernel = self._kernels[metric] = GeoKernel(self.nodes, metric)
         return kernel
 
     def internal_id(self, external: int) -> int:
@@ -202,11 +186,11 @@ def assemble_graph(
         raise GraphDataError("external ids must be sorted and unique")
     index = {e: i for i, e in enumerate(ext)}
     nodes = []
-    for i, e in enumerate(ext):
+    for e in ext:
         lat, lon = coords[e]
         lat = float(lat)
         lon = _check_coord(lat, float(lon), f"node {e}")
-        nodes.append(GeoNode(i, lat, lon))
+        nodes.append(GeoPoint(lat, lon))
 
     rows: list[list[tuple[int, float]]] = [[] for _ in ext]
     for (u, v), w in pair_weights.items():
@@ -241,7 +225,7 @@ def induced_subgraph(g: GeoGraph, keep: Iterable[int]) -> GeoGraph:
         if not 0 <= i < g.num_nodes:
             raise GraphDataError(f"unknown internal node id {i}")
     kept = sorted(keep_set, key=lambda i: g.external_ids[i])
-    coords = {g.external_ids[i]: (g.nodes[i].lat, g.nodes[i].lon) for i in kept}
+    coords = {g.external_ids[i]: g.nodes[i] for i in kept}
     pairs: dict[tuple[int, int], float] = {}
     for u, v, w in g.undirected_edges():
         if u in keep_set and v in keep_set:
@@ -294,9 +278,9 @@ def validate_graph(g: GeoGraph, *, allow_self_loops: bool = False) -> list[str]:
     total = sum(g.degrees)
     if abs(total - g.two_m) > 1e-9 * max(1.0, abs(total)):
         report.append(f"two_m is {g.two_m}, degrees sum to {total}")
-    for node in g.nodes:
+    for i, (lat, lon) in enumerate(g.nodes):
         try:
-            _check_coord(node.lat, node.lon, f"node {node.id}")
+            _check_coord(lat, lon, f"node {i}")
         except GraphDataError as exc:
             report.append(str(exc))
     return report

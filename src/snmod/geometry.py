@@ -14,7 +14,7 @@ on the sphere) and the monotone map from squared chord to distance
 """
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,62 +40,16 @@ class GeoPoint(NamedTuple):
     lon: float
 
 
-def haversine_km(a, b) -> float:
-    """Great-circle distance in kilometers between two (lat, lon) points."""
-    phi1 = math.radians(a[0])
-    lam1 = math.radians(a[1])
-    phi2 = math.radians(b[0])
-    lam2 = math.radians(b[1])
-    s1 = math.sin(0.5 * (phi2 - phi1))
-    s2 = math.sin(0.5 * (lam2 - lam1))
-    h = s1 * s1 + math.cos(phi1) * math.cos(phi2) * s2 * s2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
-def planar_distance(a, b) -> float:
-    """Euclidean distance treating (lat, lon) as plane coordinates."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def spherical_centroid(points: Sequence) -> GeoPoint:
-    """Normalized 3-D mean of the input points.
-
-    Each point is converted to a unit vector, the vectors are averaged and
-    renormalized, and the result converted back to (lat, lon).  If the mean
-    vector is degenerate (norm < 1e-9, e.g. an antipodal pair) the first
-    point in input order is returned.  Identical inputs short-circuit to the
-    shared point so that zero dispersion stays exactly zero.
-    """
-    pts = [GeoPoint(float(p[0]), float(p[1])) for p in points]
-    if not pts:
-        raise ValueError("centroid of an empty point sequence")
-    first = pts[0]
-    if all(p == first for p in pts[1:]):
-        return first
-    x = y = z = 0.0
-    for p in pts:
-        phi = math.radians(p.lat)
-        lam = math.radians(p.lon)
-        c = math.cos(phi)
-        x += c * math.cos(lam)
-        y += c * math.sin(lam)
-        z += math.sin(phi)
-    n = len(pts)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm < _DEGENERATE_NORM * n:
-        return first
-    lat = math.degrees(math.asin(max(-1.0, min(1.0, z / norm))))
-    lon = math.degrees(math.atan2(y, x))
-    return GeoPoint(lat, lon)
+    """Normalized 3-D mean of the input points; the first point when they are
+    identical or their mean vector is degenerate (see :func:`_centroid`)."""
+    return _centroid(points[0] if points else None, map(_unit_vector, points), "haversine")
 
 
 def planar_centroid(points: Sequence) -> GeoPoint:
-    """Arithmetic mean of plane coordinates."""
-    pts = [GeoPoint(float(p[0]), float(p[1])) for p in points]
-    if not pts:
-        raise ValueError("centroid of an empty point sequence")
-    n = len(pts)
-    return GeoPoint(sum(p.lat for p in pts) / n, sum(p.lon for p in pts) / n)
+    """Arithmetic mean of plane coordinates; the first point when they are
+    identical (see :func:`_centroid`)."""
+    return _centroid(points[0] if points else None, map(_plane_vector, points), "planar")
 
 
 def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
@@ -103,11 +57,62 @@ def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
     return GeoKernel(points, metric).span(range(len(points)))
 
 
-def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
-    phi = math.radians(p.lat)
-    lam = math.radians(p.lon)
+def _unit_vector(p) -> tuple[float, float, float]:
+    phi = math.radians(p[0])
+    lam = math.radians(p[1])
     c = math.cos(phi)
     return (c * math.cos(lam), c * math.sin(lam), math.sin(phi))
+
+
+def _plane_vector(p) -> tuple[float, float, float]:
+    return (float(p[0]), float(p[1]), 0.0)
+
+
+def _mean_vector(sx: float, sy: float, sz: float, n: int, metric: str):
+    """Centre vector from the sum of ``n`` vectors: the mean, renormalized on
+    the sphere.  None when the sphere mean is degenerate."""
+    if metric == "planar":
+        return (sx / n, sy / n, sz / n)
+    norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if norm < _DEGENERATE_NORM * n:
+        return None
+    return (sx / norm, sy / norm, sz / norm)
+
+
+def _centroid(first, vecs: Iterable, metric: str) -> GeoPoint:
+    """Centre of a point set as a location: the one centre routine.
+
+    ``first`` is the first point (None for no points) and ``vecs`` yields
+    every point's vector in order, lazily, so no vector list is built.  The
+    vectors are summed one by one, in order.  Identical vectors
+    short-circuit to the first point, so a co-located set is its own centre
+    exactly.  The centre is the mean vector, renormalized on the sphere,
+    where a degenerate mean (norm < 1e-9 per point, e.g. an antipodal pair)
+    falls back to the first point; the longitude is taken from the raw sums.
+    """
+    sx = sy = sz = 0.0
+    n = 0
+    v0 = None
+    same = True
+    for v in vecs:
+        if v0 is None:
+            v0 = v
+        elif same and v != v0:
+            same = False
+        x, y, z = v
+        sx += x
+        sy += y
+        sz += z
+        n += 1
+    if n == 0:
+        raise ValueError("centroid of an empty point sequence")
+    centre = None if same else _mean_vector(sx, sy, sz, n, metric)
+    if centre is None:
+        return GeoPoint(float(first[0]), float(first[1]))
+    if metric == "planar":
+        return GeoPoint(centre[0], centre[1])
+    lat = math.degrees(math.asin(max(-1.0, min(1.0, centre[2]))))
+    return GeoPoint(lat, math.degrees(math.atan2(sy, sx)))
 
 
 def _sq_chord(a, b) -> float:
@@ -153,11 +158,8 @@ class GeoKernel:
         if metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
-        self.points = [GeoPoint(float(p[0]), float(p[1])) for p in points]
-        if metric == "haversine":
-            self.vecs = [_unit_vector(p) for p in self.points]
-        else:
-            self.vecs = [(p.lat, p.lon, 0.0) for p in self.points]
+        self.points = points  # not copied: a graph passes its own node tuple
+        self.vecs = list(map(_unit_vector if metric == "haversine" else _plane_vector, points))
         self._table = np.array(self.vecs, dtype=float).reshape(-1, 3)
         self._km, self._km_rows = _CHORD_TO_KM[metric]
 
@@ -183,20 +185,8 @@ class GeoKernel:
 
     def centroid(self, members: Sequence[int]) -> GeoPoint:
         """Centre of the members as a location, for meta-nodes and reports."""
-        pts = [self.points[i] for i in members]
-        if self.metric == "haversine":
-            return spherical_centroid(pts)
-        return planar_centroid(pts)
-
-    def _centre(self, sx, sy, sz, total, fallback):
-        """Centre vector from a member vector sum: the mean, renormalized on
-        the sphere, where a degenerate mean falls back to ``fallback``."""
-        if self.metric == "planar":
-            return (sx / total, sy / total, sz / total)
-        norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if norm < _DEGENERATE_NORM * total:
-            return fallback
-        return (sx / norm, sy / norm, sz / norm)
+        first = self.points[members[0]] if members else None
+        return _centroid(first, map(self.vecs.__getitem__, members), self.metric)
 
     def _chord2(self, v, members, rows=None):
         """Squared chords from vector ``v`` to each member.
@@ -269,7 +259,7 @@ class GeoKernel:
             if (rows == rows[0]).all():
                 return v0, 0.0
             sx, sy, sz = (float(rows[:, j].sum()) for j in range(3))
-        centre = self._centre(sx, sy, sz, total, v0)
+        centre = _mean_vector(sx, sy, sz, total, self.metric) or v0
         if agg == "max":
             r = self._km(self._max_chord2(centre, ids, rows)) / sigma
             return centre, r * r

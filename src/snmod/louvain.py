@@ -143,6 +143,12 @@ class LevelState:
             for j, w in graph.adj[i]:
                 if j == i:
                     self.self_w[i] = w
+        # each node's quality as a singleton, read by every SN gain
+        two_m = self.two_m
+        self.q_single = [
+            (self.self_w[i] - k * k / two_m) / two_m if two_m else 0.0
+            for i, k in enumerate(graph.degrees)
+        ]
         metric = obj.params.metric if obj.kind == "sn" else "haversine"
         self.kernel = graph.kernel(metric)
         self.comm = [int(c) for c in assignment]
@@ -204,10 +210,6 @@ class LevelState:
             / self.two_m
         )
 
-    def _q_single(self, i: int) -> float:
-        k = self.graph.degrees[i]
-        return (self.self_w[i] - k * k / self.two_m) / self.two_m
-
     def _insertion_gain(self, i: int, c: _Community | None, kiin: float) -> float:
         """Objective delta of inserting isolated node i into community c."""
         if c is None or not c.members:
@@ -227,7 +229,7 @@ class LevelState:
         sum_in = c.sum_in + 2.0 * kiin + self.self_w[i]
         sum_deg = c.sum_deg + k
         q_union = (sum_in - sum_deg * sum_deg / two_m) / (1.0 + disp) / two_m
-        return q_union - c.quality - self._q_single(i)
+        return q_union - c.quality - self.q_single[i]
 
     def _gain_bound(self, i: int, c: _Community, kiin: float, d: float) -> float:
         """O(1) upper bound on ``_insertion_gain(i, c, kiin)`` (SN objective).
@@ -257,7 +259,7 @@ class LevelState:
         else:
             # a non-positive numerator stays non-positive at any dispersion
             q_union = 0.0
-        return q_union - c.quality - self._q_single(i)
+        return q_union - c.quality - self.q_single[i]
 
     def _removal_back_gain(self, i: int, old: _Community, kiin_old: float) -> float:
         """Gain of re-inserting i into its own community after removal."""
@@ -275,7 +277,7 @@ class LevelState:
         sum_in = old.sum_in - 2.0 * kiin_old - self.self_w[i]
         sum_deg = old.sum_deg - k
         q_reduced = (sum_in - sum_deg * sum_deg / two_m) / (1.0 + disp) / two_m
-        return old.quality - q_reduced - self._q_single(i)
+        return old.quality - q_reduced - self.q_single[i]
 
     def _neighbor_weights(self, i: int) -> dict[int, float]:
         kiin: dict[int, float] = {}
@@ -314,14 +316,13 @@ class LevelState:
         return new_label
 
 
-def move_gain(state: LevelState, i: int, target_community: int, obj: Objective) -> float:
+def move_gain(state: LevelState, i: int, target_community: int) -> float:
     """Exact objective delta of moving node i into an existing community.
 
-    Measured as removal from i's current community followed by insertion
-    into the target; the state is not modified.
+    Measured, under the state's objective, as removal from i's current
+    community followed by insertion into the target; the state is not
+    modified.
     """
-    if obj != state.objective:
-        raise ValueError("objective does not match the one the state was built for")
     if target_community not in state.communities:
         raise ValueError(f"unknown community label {target_community}")
     old_label = state.comm[i]
@@ -363,14 +364,15 @@ def _unchanged(communities: dict[int, _Community], labels, clock: int) -> bool:
     return True
 
 
-def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = EngineConfig()):
+def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     """Sweep nodes until a full sweep moves nothing; returns (moved, state).
 
-    Each node is tested against every distinct neighboring community and a
-    fresh singleton; the best strictly-improving move (gain > ``_MIN_GAIN``) is
-    applied, preferring to stay on ties and the smallest community label
-    otherwise.  With a finite join constraint, a community is a candidate
-    only when the node is within the constraint of all current members.
+    Each node is tested, under the objective the state was built for,
+    against every distinct neighboring community and a fresh singleton; the
+    best strictly-improving move (gain > ``_MIN_GAIN``) is applied,
+    preferring to stay on ties and the smallest community label otherwise.
+    With a finite join constraint, a community is a candidate only when the
+    node is within the constraint of all current members.
 
     Under the spatially-near objective each candidate is bound, then
     verified, from the node's distance to the candidate's centroid.  A
@@ -391,13 +393,11 @@ def local_move_pass(state: LevelState, obj: Objective, cfg: EngineConfig = Engin
     unstamped.  Under either objective the moves are those of visiting
     every node.
     """
-    if obj != state.objective:
-        raise ValueError("objective does not match the one the state was built for")
     if state.two_m == 0:
         return 0, state
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
-    sn = obj.kind == "sn"
+    sn = state.objective.kind == "sn"
     communities = state.communities
     kernel = state.kernel
     # per node: (clock, labels read, removal gain) of its last stay, else None
@@ -513,7 +513,7 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
     for level in range(_MAX_LEVELS):
         order = _visit_order(level_graph.num_nodes, cfg, level)
         state = LevelState.from_singletons(level_graph, obj, visit_order=order)
-        moved, _ = local_move_pass(state, obj, cfg)
+        moved, _ = local_move_pass(state, cfg)
         if moved == 0:
             break
         p_level = state.extract_partition()

@@ -7,6 +7,8 @@ from snmod import geometry
 from snmod.cli import main, read_partition_csv, run_sweep, SWEEP_HEADER, IMPROVEMENT_HEADER
 from snmod.geograph import load_graph
 from snmod.metrics import Partition, SNParams, ng_modularity, sn_modularity
+from snmod.sampler import SampleSpec, snowball_sample
+from snmod.synth import SyntheticSpec, planted_geo_clusters
 
 from conftest import BRIDGED_EDGES
 
@@ -294,6 +296,28 @@ class TestSample:
         assert rc == 0
         sub = load_graph(f"{prefix}_edges.tsv", f"{prefix}_coords.csv")
         assert sub.num_nodes <= 4
+
+    def test_sample_files_reload_to_the_sample_exactly(self, tmp_path):
+        # the criterion-9 graph: its spread clusters give coordinates that a
+        # 12-digit format would round
+        g, _ = planted_geo_clusters(
+            SyntheticSpec(n_nodes=200, n_clusters=4, p_intra=0.1, p_inter=0.01,
+                          spacing_km=1000.0, spread_km=15.0, seed=3)
+        )
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(
+            f"{g.external_ids[u]}\t{g.external_ids[v]}\t{w!r}\n" for u, v, w in g.undirected_edges()
+        ))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("".join(
+            f"{e},{node.lat!r},{node.lon!r}\n" for e, node in zip(g.external_ids, g.nodes)
+        ))
+        prefix = tmp_path / "sample"
+        rc = main(["sample", "--edges", str(edges), "--coords", str(coords),
+                   "--size", "50", "--seed", "1", "--out-prefix", str(prefix)])
+        assert rc == 0
+        want = snowball_sample(load_graph(edges, coords), SampleSpec(50, seed=1))
+        assert load_graph(f"{prefix}_edges.tsv", f"{prefix}_coords.csv") == want
 
 
 def test_detect_runs_are_bit_identical(fixture_files, tmp_path):

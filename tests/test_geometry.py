@@ -14,10 +14,8 @@ from snmod.geometry import (
     METRIC_NAMES,
     GeoKernel,
     GeoPoint,
-    haversine_km,
     max_pairwise_span_km,
     planar_centroid,
-    planar_distance,
     spherical_centroid,
 )
 from snmod.metrics import SNParams
@@ -29,21 +27,26 @@ lons = st.floats(min_value=-179.9, max_value=180.0, allow_nan=False)
 points = st.tuples(lats, lons).map(lambda t: GeoPoint(*t))
 
 
+def haversine(a, b):
+    """Great-circle distance between two points, through the kernel's chord path."""
+    return max_pairwise_span_km([a, b])
+
+
 def test_haversine_pinned_values():
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
+    assert haversine(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
     quarter = math.pi * EARTH_RADIUS_KM / 2.0
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(quarter, rel=1e-12)
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(10007.543, abs=1e-3)
+    assert haversine(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(quarter, rel=1e-12)
+    assert haversine(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(10007.543, abs=1e-3)
     half = math.pi * EARTH_RADIUS_KM
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(half, rel=1e-12)
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(20015.087, abs=1e-3)
+    assert haversine(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(half, rel=1e-12)
+    assert haversine(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(20015.087, abs=1e-3)
 
 
 @given(a=points, b=points)
 def test_haversine_axioms_pairwise(a, b):
-    assert haversine_km(a, a) == 0.0
-    assert abs(haversine_km(a, b) - haversine_km(b, a)) <= 1e-9
-    assert haversine_km(a, b) <= math.pi * EARTH_RADIUS_KM + 1e-9
+    assert haversine(a, a) == 0.0
+    assert abs(haversine(a, b) - haversine(b, a)) <= 1e-9
+    assert haversine(a, b) <= math.pi * EARTH_RADIUS_KM + 1e-9
 
 
 def test_distance_axioms_random_triples():
@@ -51,15 +54,15 @@ def test_distance_axioms_random_triples():
     for _ in range(1000):
         pts = [GeoPoint(rng.uniform(-90, 90), rng.uniform(-179.9, 180)) for _ in range(3)]
         a, b, c = pts
-        assert haversine_km(a, a) == 0.0
-        assert abs(haversine_km(a, b) - haversine_km(b, a)) <= 1e-9
-        assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
+        assert haversine(a, a) == 0.0
+        assert abs(haversine(a, b) - haversine(b, a)) <= 1e-9
+        assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-6
 
 
 @given(p=points)
 def test_haversine_matches_independent_formula(p):
     q = GeoPoint(12.5, -33.25)
-    assert haversine_km(p, q) == pytest.approx(naive_haversine(p, q), abs=1e-9)
+    assert haversine(p, q) == pytest.approx(naive_haversine(p, q), abs=1e-9)
 
 
 def test_spherical_centroid_examples():
@@ -111,7 +114,7 @@ def test_span_vectorized_path_matches_scan():
 
 
 def test_planar_metric():
-    assert planar_distance((0, 0), (3, 4)) == 5.0
+    assert max_pairwise_span_km([(0, 0), (3, 4)], "planar") == 5.0
     assert planar_centroid([(0, 0), (2, 4)]) == GeoPoint(1.0, 2.0)
     assert max_pairwise_span_km([(0, 0), (3, 4), (1, 1)], metric="planar") == 5.0
 
@@ -169,13 +172,20 @@ class TestGeoKernel:
         assert a == b
 
     def test_colocated_members_have_exactly_zero_dispersion(self):
-        pts = [GeoPoint(10.0, 20.0)] * 30 + [GeoPoint(0.0, 0.0)]
-        kernel = GeoKernel(pts)
-        for members in ([0, 1], list(range(30))):
-            center, disp = kernel.stats(members, 1e-6, "max")
-            assert center == kernel.vecs[0]
-            assert kernel.centroid(members) == GeoPoint(10.0, 20.0)
-            assert disp == 0.0
+        cases = [
+            ("haversine", GeoPoint(10.0, 20.0), spherical_centroid),
+            # three copies of 0.1 sum to 0.30000000000000004 on the plane
+            ("planar", GeoPoint(0.1, 0.1), planar_centroid),
+        ]
+        for metric, shared, centroid in cases:
+            pts = [shared] * 30 + [GeoPoint(0.0, 0.0)]
+            kernel = GeoKernel(pts, metric)
+            for members in ([0, 1], [0, 1, 2], list(range(30))):
+                center, disp = kernel.stats(members, 1e-6, "max")
+                assert center == kernel.vecs[0]
+                assert kernel.centroid(members) == shared
+                assert centroid([pts[i] for i in members]) == shared
+                assert disp == 0.0
 
     def test_empty_raises(self):
         kernel = GeoKernel([GeoPoint(0, 0)])

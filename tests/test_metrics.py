@@ -140,7 +140,7 @@ def test_community_stats_fields(geo_clusters):
     assert st_.sum_in == 6.0
     assert st_.sum_deg == 7.0
     assert st_.dispersion == 0.0
-    want = spherical_centroid([geo_clusters.point(i) for i in (0, 1, 2)])
+    want = spherical_centroid([geo_clusters.nodes[i] for i in (0, 1, 2)])
     assert st_.centroid == want
 
 

@@ -1,0 +1,35 @@
+import subprocess
+import sys
+from pathlib import Path
+
+from snmod.geograph import load_graph
+from snmod.sampler import SampleSpec, snowball_sample
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_brightkite_samples_reload_to_their_samples(tmp_path):
+    # a 6-node ring with chords, every node of degree 3 or more, and
+    # weights and mean check-in coordinates that short formats would round
+    ring = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)]
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{u}\t{v}\t{0.1 * (u + v + 1)!r}\n" for u, v in ring))
+    checkins = tmp_path / "checkins.txt"
+    checkins.write_text("".join(
+        f"{u}\t2009-0{k + 1}-01T00:00:00Z\t{10.0 + u / 7 + k / 3}\t{20.0 - u / 9 + k / 11}\tp{k}\n"
+        for u in range(6)
+        for k in range(3)
+    ))
+    out_dir = tmp_path / "samples"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "brightkite_samples.py"), "--edges", str(edges),
+         "--checkins", str(checkins), "--out-dir", str(out_dir), "--samples", "2", "--size", "4"],
+        check=True, capture_output=True,
+    )
+    full = load_graph(edges, checkins, missing_policy="drop")
+    for seed in range(2):
+        sample = load_graph(
+            out_dir / f"sample{seed:02d}_edges.tsv", out_dir / f"sample{seed:02d}_coords.csv"
+        )
+        assert sample.num_nodes == 4
+        assert sample == snowball_sample(full, SampleSpec(4, seed=seed))

@@ -46,7 +46,7 @@ class TestPartitionMaxSpan:
         g = random_geo_graph(rng, n, edge_p=0.1)
         members = list(range(5, n))  # 55 members: past the pair-loop size
         p = Partition.from_assignment([0] * 5 + [1] * len(members))
-        pts = [g.point(i) for i in members]
+        pts = [g.nodes[i] for i in members]
         want = max_pairwise_span_km(pts)
         assert partition_max_span(g, p) == want
         assert want == pytest.approx(naive_span(pts), abs=1e-9)

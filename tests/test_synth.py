@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from snmod.geometry import haversine_km
+from snmod.geometry import max_pairwise_span_km
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
 
@@ -51,7 +51,7 @@ def test_aligned_mode_places_nodes_at_their_cluster_site():
         key=lambda p: p[1],
     )
     for a, b in zip(site_pts, site_pts[1:]):
-        assert haversine_km(a, b) == pytest.approx(1000.0, rel=1e-6)
+        assert max_pairwise_span_km([a, b]) == pytest.approx(1000.0, rel=1e-6)
 
 
 def test_scattered_mode_spreads_clusters_over_sites():
