@@ -85,8 +85,15 @@ def write_graph_files(g: GeoGraph, edges_path, coords_path) -> None:
     """Write an edge file and a ``node,lat,lon`` file that reload to ``g``.
 
     Weights and coordinates are written as ``repr`` floats, which parse back
-    to the same values bit for bit.
+    to the same values bit for bit.  An edge file cannot carry a node
+    without edges, so a graph with one is refused before any file is opened.
     """
+    isolated = [g.external_ids[i] for i, row in enumerate(g.adj) if not row]
+    if isolated:
+        raise GraphDataError(
+            f"node {isolated[0]} has no edges, so the written files could not "
+            f"reload it ({len(isolated)} such node(s))"
+        )
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         for u, v, w in g.undirected_edges():
             fh.write(f"{g.external_ids[u]}\t{g.external_ids[v]}\t{w!r}\n")

@@ -4,16 +4,18 @@ Edge files are TAB-separated ``u<TAB>v`` or ``u<TAB>v<TAB>w`` lines with
 ``#`` comments.  Coordinate files are either ``node,lat,lon`` CSV (header
 optional) or TAB-separated check-in rows ``user  timestamp  lat  lon  place``
 with ISO-8601 timestamps; the format is auto-detected from the first
-significant line.  External node ids are non-negative integers and are
-remapped to dense internal ids by ascending external id, which makes loading
-fully deterministic.
+significant line.  Both files are read once, line by line, keeping per node
+only what the coordinate policy needs.  External node ids are non-negative
+integers and are remapped to dense internal ids by ascending external id,
+which makes loading fully deterministic.
 """
 
 import math
 import os
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .geometry import GeoKernel, GeoPoint, spherical_centroid
+from .geometry import GeoKernel, GeoPoint, finish_centroid, unit_vector
 
 
 class GraphFormatError(ValueError):
@@ -76,10 +78,7 @@ class GeoGraph:
         endpoints without coordinates raise under ``missing_policy='error'``
         or are removed together with their incident edges under ``'drop'``.
         """
-        if missing_policy not in ("error", "drop"):
-            raise ValueError(f"unknown missing_policy {missing_policy!r}")
         pair_weights: dict[tuple[int, int], float] = {}
-        node_set: set[int] = set()
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
@@ -95,31 +94,12 @@ class GeoGraph:
                 raise GraphDataError(f"self-loop edge on node {u}")
             if not math.isfinite(w) or w <= 0:
                 raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            pair_weights[key] = pair_weights.get(key, 0.0) + w
-            node_set.add(u)
-            node_set.add(v)
-        for e in extra_nodes:
-            e = int(e)
+            _merge_edge(pair_weights, u, v, w)
+        extra = [int(e) for e in extra_nodes]
+        for e in extra:
             if e < 0:
                 raise GraphDataError(f"negative node id {e}")
-            node_set.add(e)
-
-        missing = sorted(e for e in node_set if e not in coords)
-        if missing:
-            if missing_policy == "error":
-                shown = ", ".join(str(e) for e in missing[:5])
-                raise GraphDataError(
-                    f"{len(missing)} node(s) lack coordinates (e.g. {shown})"
-                )
-            node_set -= set(missing)
-            gone = set(missing)
-            pair_weights = {
-                (u, v): w
-                for (u, v), w in pair_weights.items()
-                if u not in gone and v not in gone
-            }
-        return assemble_graph(sorted(node_set), coords, pair_weights)
+        return _build_graph(pair_weights, coords, missing_policy, extra)
 
     # -- accessors --------------------------------------------------------
 
@@ -214,6 +194,49 @@ def assemble_graph(
     return GeoGraph(ext, nodes, rows, degrees, two_m)
 
 
+def _merge_edge(pair_weights: dict, u: int, v: int, w: float) -> None:
+    """Add an undirected edge's weight under its (low, high) key.
+
+    A first edge stores ``w`` itself, which equals ``0.0 + w`` for the
+    positive weights allowed, so a streamed parse allocates no extra float.
+    """
+    key = (u, v) if u < v else (v, u)
+    old = pair_weights.get(key)
+    pair_weights[key] = w if old is None else old + w
+
+
+def _build_graph(
+    pair_weights: dict[tuple[int, int], float],
+    coords: Mapping[int, tuple],
+    missing_policy: str,
+    extra_nodes: Iterable[int] = (),
+) -> GeoGraph:
+    """Assemble the graph over the edge endpoints plus ``extra_nodes``.
+
+    Nodes without coordinates raise under ``missing_policy='error'`` or are
+    removed together with their incident edges under ``'drop'``.
+    """
+    if missing_policy not in ("error", "drop"):
+        raise ValueError(f"unknown missing_policy {missing_policy!r}")
+    node_set = {e for pair in pair_weights for e in pair}
+    node_set.update(extra_nodes)
+    missing = sorted(e for e in node_set if e not in coords)
+    if missing:
+        if missing_policy == "error":
+            shown = ", ".join(str(e) for e in missing[:5])
+            raise GraphDataError(
+                f"{len(missing)} node(s) lack coordinates (e.g. {shown})"
+            )
+        gone = set(missing)
+        node_set -= gone
+        pair_weights = {
+            (u, v): w
+            for (u, v), w in pair_weights.items()
+            if u not in gone and v not in gone
+        }
+    return assemble_graph(sorted(node_set), coords, pair_weights)
+
+
 def induced_subgraph(g: GeoGraph, keep: Iterable[int]) -> GeoGraph:
     """Node-induced subgraph over internal ids, keeping original external ids.
 
@@ -297,34 +320,45 @@ def load_graph(
 ) -> GeoGraph:
     """Load a graph from an edge list and a coordinate source.
 
+    Each source is a path, a text file object or an iterable of lines; it
+    is read once, line by line, so memory grows with the number of nodes
+    and edges, not with the number of coordinate rows.  The edge source is
+    read first, so its errors come before any coordinate error.
+
     ``coord_policy`` collapses multiple coordinate rows per node: ``'mean'``
     takes the spherical mean, ``'last'`` the most recent by timestamp (file
-    order for plain CSV).  The node set is the set of edge endpoints;
-    coordinate rows for other ids are ignored.
+    order for plain CSV; a later row wins a tie).  The node set is the set
+    of edge endpoints; coordinate rows for other ids are validated, then
+    ignored.
     """
     if coord_policy not in ("mean", "last"):
         raise ValueError(f"unknown coord_policy {coord_policy!r}")
-    edges = _parse_edges(_read_lines(edge_source))
-    coords = _parse_coords(_read_lines(coord_source), coord_policy)
-    return GeoGraph.from_edges(edges, coords, missing_policy=missing_policy)
+    pair_weights = _read(edge_source, _parse_edges)
+    coords = _read(coord_source, _parse_coords, coord_policy)
+    return _build_graph(pair_weights, coords, missing_policy)
 
 
-def _read_lines(source) -> list[str]:
-    if hasattr(source, "read"):
-        return source.read().splitlines()
+def _read(source, parse, *args):
+    """Run ``parse`` over the lines of a path, file object or line iterable."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    return [str(line).rstrip("\n") for line in source]
+            return parse(fh, *args)
+    return parse(source, *args)
 
 
-def _parse_edges(lines: list[str]) -> list[tuple[int, int, float]]:
-    edges = []
+def _significant(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line without its line break) of each line that
+    is neither blank nor a ``#`` comment."""
     for ln, raw in enumerate(lines, 1):
         s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split("\t")
+        if s and s[0] != "#":
+            yield ln, raw.rstrip("\r\n")
+
+
+def _parse_edges(lines: Iterable[str]) -> dict[tuple[int, int], float]:
+    pair_weights: dict[tuple[int, int], float] = {}
+    for ln, raw in _significant(lines):
+        parts = raw.strip().split("\t")
         if len(parts) not in (2, 3):
             raise GraphFormatError(
                 f"edge line {ln}: expected 'u<TAB>v' or 'u<TAB>v<TAB>w', got {raw!r}"
@@ -341,28 +375,29 @@ def _parse_edges(lines: list[str]) -> list[tuple[int, int, float]]:
             raise GraphDataError(f"edge line {ln}: self-loop on node {u}")
         if not math.isfinite(w) or w <= 0:
             raise GraphDataError(f"edge line {ln}: non-positive weight {w}")
-        edges.append((u, v, w))
-    return edges
+        _merge_edge(pair_weights, u, v, w)
+    return pair_weights
 
 
-def _parse_coords(lines: list[str], policy: str) -> dict[int, GeoPoint]:
-    significant = [
-        (ln, raw) for ln, raw in enumerate(lines, 1) if raw.strip() and not raw.strip().startswith("#")
-    ]
-    if not significant:
+def _parse_coords(lines: Iterable[str], policy: str) -> dict[int, GeoPoint]:
+    rows = _significant(lines)
+    first = next(rows, None)
+    if first is None:
         return {}
-    first = significant[0][1]
-    if "\t" in first:
-        return _collapse(_parse_checkins(significant), policy)
-    if "," in first:
-        return _collapse(_parse_coord_csv(significant), policy)
-    raise GraphFormatError(
-        f"coordinate line {significant[0][0]}: unrecognized format {first!r}"
-    )
+    ln, raw = first
+    if "\t" in raw:
+        records = _checkin_records(chain([first], rows))
+    elif "," in raw:
+        records = _csv_records(chain([first], rows))
+    else:
+        raise GraphFormatError(f"coordinate line {ln}: unrecognized format {raw!r}")
+    return _mean_points(records) if policy == "mean" else _last_points(records)
 
 
-def _parse_coord_csv(rows) -> dict[int, list[tuple]]:
-    per_node: dict[int, list[tuple]] = {}
+def _csv_records(rows) -> Iterator[tuple[str, int, tuple]]:
+    """(timestamp, node, (lat, lon)) per ``node,lat,lon`` row; the timestamp is
+    empty, so later rows win under 'last'.  The first row is a header when
+    its node field is not an integer."""
     for pos, (ln, raw) in enumerate(rows):
         parts = [p.strip() for p in raw.strip().split(",")]
         if len(parts) != 3:
@@ -371,22 +406,23 @@ def _parse_coord_csv(rows) -> dict[int, list[tuple]]:
             )
         try:
             node = int(parts[0])
-            lat = float(parts[1])
-            lon = float(parts[2])
         except ValueError:
             if pos == 0:
                 continue  # header row
             raise GraphFormatError(f"coordinate line {ln}: cannot parse {raw!r}") from None
+        try:
+            lat = float(parts[1])
+            lon = float(parts[2])
+        except ValueError:
+            raise GraphFormatError(f"coordinate line {ln}: cannot parse {raw!r}") from None
         lon = _check_coord(lat, lon, f"coordinate line {ln}")
-        # plain CSV has no timestamps; later rows win under 'last'
-        per_node.setdefault(node, []).append((("", pos), GeoPoint(lat, lon)))
-    return per_node
+        yield "", node, (lat, lon)
 
 
-def _parse_checkins(rows) -> dict[int, list[tuple]]:
-    per_node: dict[int, list[tuple]] = {}
-    for pos, (ln, raw) in enumerate(rows):
-        parts = raw.rstrip("\n").split("\t")
+def _checkin_records(rows) -> Iterator[tuple[str, int, tuple]]:
+    """(timestamp, node, (lat, lon)) per ``user  timestamp  lat  lon[  place]`` row."""
+    for ln, raw in rows:
+        parts = raw.split("\t")
         if len(parts) < 4:
             raise GraphFormatError(
                 f"check-in line {ln}: expected user, timestamp, lat, lon[, place], got {raw!r}"
@@ -397,21 +433,49 @@ def _parse_checkins(rows) -> dict[int, list[tuple]]:
             lon = float(parts[3])
         except ValueError:
             raise GraphFormatError(f"check-in line {ln}: cannot parse {raw!r}") from None
-        ts = parts[1].strip()
         lon = _check_coord(lat, lon, f"check-in line {ln}")
-        # ISO-8601 timestamps sort chronologically as strings
-        per_node.setdefault(node, []).append(((ts, pos), GeoPoint(lat, lon)))
-    return per_node
+        yield parts[1].strip(), node, (lat, lon)
 
 
-def _collapse(per_node: dict[int, list[tuple]], policy: str) -> dict[int, GeoPoint]:
-    out: dict[int, GeoPoint] = {}
-    for node, entries in per_node.items():
-        if policy == "mean":
-            out[node] = spherical_centroid([p for _, p in entries])
-        else:
-            out[node] = max(entries, key=lambda e: e[0])[1]
-    return out
+def _mean_points(records) -> dict[int, GeoPoint]:
+    """Spherical mean per node, bit-identical to :func:`spherical_centroid`
+    over the node's rows: the running sums start at 0.0 and add in file
+    order, and :func:`finish_centroid` turns them into the centre.  A node's
+    first vector is computed when its second row arrives, so a one-row node
+    (every node of a plain CSV) costs no trigonometry."""
+    acc: dict[int, list] = {}  # node -> [first point, sx, sy, sz, n, first vector, same]
+    for _, node, p in records:
+        a = acc.get(node)
+        if a is None:
+            acc[node] = [p, 0.0, 0.0, 0.0, 1, None, True]
+            continue
+        if a[5] is None:
+            a[5] = v0 = unit_vector(a[0])
+            a[1] += v0[0]
+            a[2] += v0[1]
+            a[3] += v0[2]
+        v = unit_vector(p)
+        if a[6] and v != a[5]:
+            a[6] = False
+        a[1] += v[0]
+        a[2] += v[1]
+        a[3] += v[2]
+        a[4] += 1
+    return {
+        node: finish_centroid(a[0], a[1], a[2], a[3], a[4], a[6])
+        for node, a in acc.items()
+    }
+
+
+def _last_points(records) -> dict[int, GeoPoint]:
+    """Most recent point per node: the greatest ISO-8601 timestamp (they sort
+    chronologically as strings), the later row on a tie."""
+    best: dict[int, tuple] = {}
+    for ts, node, p in records:
+        b = best.get(node)
+        if b is None or ts >= b[0]:
+            best[node] = (ts, p)
+    return {node: GeoPoint(*p) for node, (_, p) in best.items()}
 
 
 def _check_coord(lat: float, lon: float, where: str) -> float:

@@ -42,13 +42,13 @@ class GeoPoint(NamedTuple):
 
 def spherical_centroid(points: Sequence) -> GeoPoint:
     """Normalized 3-D mean of the input points; the first point when they are
-    identical or their mean vector is degenerate (see :func:`_centroid`)."""
-    return _centroid(points[0] if points else None, map(_unit_vector, points), "haversine")
+    identical or their mean vector is degenerate (see :func:`finish_centroid`)."""
+    return _centroid(points[0] if points else None, map(unit_vector, points), "haversine")
 
 
 def planar_centroid(points: Sequence) -> GeoPoint:
     """Arithmetic mean of plane coordinates; the first point when they are
-    identical (see :func:`_centroid`)."""
+    identical (see :func:`finish_centroid`)."""
     return _centroid(points[0] if points else None, map(_plane_vector, points), "planar")
 
 
@@ -57,7 +57,8 @@ def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
     return GeoKernel(points, metric).span(range(len(points)))
 
 
-def _unit_vector(p) -> tuple[float, float, float]:
+def unit_vector(p) -> tuple[float, float, float]:
+    """The unit vector of a (lat, lon) point in degrees."""
     phi = math.radians(p[0])
     lam = math.radians(p[1])
     c = math.cos(phi)
@@ -80,15 +81,12 @@ def _mean_vector(sx: float, sy: float, sz: float, n: int, metric: str):
 
 
 def _centroid(first, vecs: Iterable, metric: str) -> GeoPoint:
-    """Centre of a point set as a location: the one centre routine.
+    """Centre of a point set as a location: the one summing loop.
 
     ``first`` is the first point (None for no points) and ``vecs`` yields
     every point's vector in order, lazily, so no vector list is built.  The
-    vectors are summed one by one, in order.  Identical vectors
-    short-circuit to the first point, so a co-located set is its own centre
-    exactly.  The centre is the mean vector, renormalized on the sphere,
-    where a degenerate mean (norm < 1e-9 per point, e.g. an antipodal pair)
-    falls back to the first point; the longitude is taken from the raw sums.
+    vectors are summed one by one, in order, and :func:`finish_centroid`
+    turns the sums into the centre.
     """
     sx = sy = sz = 0.0
     n = 0
@@ -104,6 +102,22 @@ def _centroid(first, vecs: Iterable, metric: str) -> GeoPoint:
         sy += y
         sz += z
         n += 1
+    return finish_centroid(first, sx, sy, sz, n, same, metric)
+
+
+def finish_centroid(
+    first, sx: float, sy: float, sz: float, n: int, same: bool, metric: str = "haversine"
+) -> GeoPoint:
+    """The one centre routine: a location from the in-order vector sums.
+
+    ``sx, sy, sz`` are the sums of ``n`` point vectors, each started from
+    0.0 and added in order; ``same`` says whether all ``n`` vectors are equal
+    and ``first`` is the first point.  Identical vectors short-circuit to
+    the first point, so a co-located set is its own centre exactly.  The
+    centre is the mean vector, renormalized on the sphere, where a
+    degenerate mean (norm < 1e-9 per point, e.g. an antipodal pair) falls
+    back to the first point; the longitude is taken from the raw sums.
+    """
     if n == 0:
         raise ValueError("centroid of an empty point sequence")
     centre = None if same else _mean_vector(sx, sy, sz, n, metric)
@@ -159,7 +173,7 @@ class GeoKernel:
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
         self.points = points  # not copied: a graph passes its own node tuple
-        self.vecs = list(map(_unit_vector if metric == "haversine" else _plane_vector, points))
+        self.vecs = list(map(unit_vector if metric == "haversine" else _plane_vector, points))
         self._table = np.array(self.vecs, dtype=float).reshape(-1, 3)
         self._km, self._km_rows = _CHORD_TO_KM[metric]
 

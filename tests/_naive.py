@@ -1,7 +1,8 @@
 """Independent brute-force re-implementations used as test oracles.
 
 Everything here is written directly from the defining formulas, shares no
-code with the package, and is deliberately O(n^2): modularity as a literal
+code with the package (``naive_load`` only builds its result as a
+``GeoGraph``), and is deliberately O(n^2): modularity as a literal
 double sum over ordered node pairs, dispersion from a freshly recomputed
 center, spans as exhaustive pair scans.
 """
@@ -26,24 +27,97 @@ def naive_planar(a, b):
 
 
 def naive_center(points, metric="haversine"):
+    """Mean location of a point list.
+
+    On the plane, the coordinate mean.  On the sphere, the unit vectors are
+    summed in order and the sum is normalized; the longitude is read from the
+    raw sums.  Points whose unit vectors are all equal are centred on the
+    first point, as is a set whose mean vector is shorter than 1e-9 (e.g. an
+    antipodal pair).
+    """
     if metric == "planar":
         n = len(points)
         return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
-    x = y = z = 0.0
+    vecs = []
     for lat, lon in points:
         phi, lam = math.radians(lat), math.radians(lon)
-        x += math.cos(phi) * math.cos(lam)
-        y += math.cos(phi) * math.sin(lam)
-        z += math.sin(phi)
-    n = len(points)
-    x, y, z = x / n, y / n, z / n
+        vecs.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
+    if all(v == vecs[0] for v in vecs):
+        return points[0]
+    x = y = z = 0.0
+    for vx, vy, vz in vecs:
+        x += vx
+        y += vy
+        z += vz
     norm = math.sqrt(x * x + y * y + z * z)
-    if norm < 1e-9:
+    if norm < 1e-9 * len(points):
         return points[0]
     return (
         math.degrees(math.asin(max(-1.0, min(1.0, z / norm)))),
         math.degrees(math.atan2(y, x)),
     )
+
+
+def naive_load(edge_text, coord_text, coord_policy="mean", missing_policy="drop"):
+    """Load valid edge and coordinate texts the way the row-holding loader did.
+
+    Every line is held; the coordinate rows are grouped per node, then each
+    node takes the ``naive_center`` of its rows (``'mean'``) or its row
+    greatest by (timestamp, position) (``'last'``; plain CSV rows have an
+    empty timestamp).  No input checks: the texts must be valid, and under
+    ``missing_policy='error'`` every edge endpoint must have coordinates.
+    """
+    from snmod.geograph import GeoGraph
+    from snmod.geometry import GeoPoint
+
+    def significant(text):
+        return [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+
+    weights = {}
+    for line in significant(edge_text):
+        parts = line.strip().split("\t")
+        u, v = int(parts[0]), int(parts[1])
+        key = (min(u, v), max(u, v))
+        weights[key] = weights.get(key, 0.0) + (float(parts[2]) if len(parts) == 3 else 1.0)
+
+    rows = significant(coord_text)
+    checkins = bool(rows) and "\t" in rows[0]
+    per_node = {}
+    for pos, line in enumerate(rows):
+        if checkins:
+            f = line.split("\t")
+            node, ts, lat, lon = int(f[0]), f[1].strip(), float(f[2]), float(f[3])
+        else:
+            f = line.split(",")
+            try:
+                node, ts, lat, lon = int(f[0]), "", float(f[1]), float(f[2])
+            except ValueError:
+                if pos == 0:
+                    continue  # header
+                raise
+        if lon == -180.0:
+            lon = 180.0
+        per_node.setdefault(node, []).append(((ts, pos), (lat, lon)))
+    coords = {}
+    for node, entries in per_node.items():
+        if coord_policy == "mean":
+            coords[node] = naive_center([p for _, p in entries])
+        else:
+            coords[node] = max(entries, key=lambda e: e[0])[1]
+
+    nodes = sorted({e for pair in weights for e in pair})
+    if missing_policy == "drop":
+        nodes = [e for e in nodes if e in coords]
+        weights = {(u, v): w for (u, v), w in weights.items() if u in coords and v in coords}
+    index = {e: i for i, e in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for (u, v), w in weights.items():
+        adj[index[u]].append((index[v], w))
+        adj[index[v]].append((index[u], w))
+    adj = [sorted(row) for row in adj]
+    degrees = [sum(w for _, w in row) for row in adj]
+    points = [GeoPoint(float(coords[e][0]), float(coords[e][1])) for e in nodes]
+    return GeoGraph(nodes, points, adj, degrees, sum(degrees))
 
 
 def _weight_lookup(g):

@@ -319,6 +319,29 @@ class TestSample:
         want = snowball_sample(load_graph(edges, coords), SampleSpec(50, seed=1))
         assert load_graph(f"{prefix}_edges.tsv", f"{prefix}_coords.csv") == want
 
+    def test_sample_with_an_isolated_node_is_refused(self, tmp_path, capsys):
+        # at size 20 and seed 1 the snowball of the criterion-9 graph ends on
+        # external node 33, none of whose neighbours is in the sample; an
+        # edge file cannot carry it, so its files would reload to 19 nodes
+        g, _ = planted_geo_clusters(
+            SyntheticSpec(n_nodes=200, n_clusters=4, p_intra=0.1, p_inter=0.01,
+                          spacing_km=1000.0, spread_km=15.0, seed=3)
+        )
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(
+            f"{g.external_ids[u]}\t{g.external_ids[v]}\t{w!r}\n" for u, v, w in g.undirected_edges()
+        ))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("".join(
+            f"{e},{node.lat!r},{node.lon!r}\n" for e, node in zip(g.external_ids, g.nodes)
+        ))
+        prefix = tmp_path / "sample"
+        rc = main(["sample", "--edges", str(edges), "--coords", str(coords),
+                   "--size", "20", "--seed", "1", "--out-prefix", str(prefix)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("snmod: error: node 33 has no edges")
+        assert not list(tmp_path.glob("sample_*"))
+
 
 def test_detect_runs_are_bit_identical(fixture_files, tmp_path):
     edges, coords = fixture_files

@@ -1,6 +1,11 @@
 import io
+import re
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snmod.geograph import (
     GeoGraph,
@@ -12,6 +17,8 @@ from snmod.geograph import (
     validate_graph,
     weighted_degree,
 )
+
+from _naive import naive_load
 
 TRIANGLE_EDGES = "0\t1\n1\t2\n0\t2\n"
 TRIANGLE_COORDS = "0,0,0\n1,0,0\n2,0,0\n"
@@ -86,6 +93,16 @@ def test_coord_csv_header_is_optional():
     g1 = load("0\t1\n", "node,lat,lon\n0,10,20\n1,30,40\n")
     g2 = load("0\t1\n", "0,10,20\n1,30,40\n")
     assert g1 == g2
+
+
+def test_coord_csv_malformed_first_row_is_an_error_not_a_header():
+    # an integer node field makes the first row data, so a bad coordinate
+    # in it is reported, not skipped as a header
+    for policy in ("error", "drop"):
+        with pytest.raises(GraphFormatError, match="coordinate line 1"):
+            load("0\t1\n", "1,abc,2\n0,1,1\n", missing_policy=policy)
+    with pytest.raises(GraphFormatError, match="coordinate line 2"):
+        load("0\t1\n", "# comment\n1,abc,2\n0,1,1\n")
 
 
 def test_checkin_rows_mean_policy_is_spherical_mean():
@@ -197,3 +214,148 @@ def test_induced_subgraph_keeps_isolated_and_external_ids():
     assert sub.nodes[2].lat == 3.0
     with pytest.raises(GraphDataError):
         induced_subgraph(g, [99])
+
+
+# -- streamed ingestion ------------------------------------------------------
+
+TIMES = ("2010-01-01T00:00:00Z", "2010-01-01T00:00:00Z", "2010-03-07T12:30:00Z", "2011-12-31T23:59:59Z")
+# signed zeros and subnormals make distinct rows with equal unit vectors or
+# signed-zero sums, so they are drawn often
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 90.0, -90.0)
+lats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=-90.0, max_value=90.0))
+lons = st.one_of(st.sampled_from(EDGE_VALUES + (180.0, -180.0)), st.floats(min_value=-180.0, max_value=180.0))
+points = st.tuples(lats, lons)
+
+
+def _antipode(p):
+    lat, lon = p
+    return (-lat, lon + 180.0 if lon <= 0.0 else lon - 180.0)
+
+
+@st.composite
+def loader_inputs(draw):
+    """Valid edge and coordinate texts: CSV or check-in rows with shared,
+    duplicate and antipodal points, equal timestamps, rows for ids without
+    edges, edges to ids without rows, a header, comments and blank lines."""
+    ids = st.integers(min_value=0, max_value=7)
+    pool = draw(st.lists(points, min_size=1, max_size=3))
+    pool += [_antipode(p) for p in pool] + [(0.0, 0.0), (0.0, 180.0)]
+    rows = draw(st.lists(
+        st.tuples(ids, st.sampled_from(TIMES), st.one_of(st.sampled_from(pool), points)),
+        max_size=24,
+    ))
+    edges = draw(st.lists(
+        st.tuples(ids, ids, st.sampled_from([1.0, 0.5, 2.25, 1e-3])).filter(lambda e: e[0] != e[1]),
+        min_size=1, max_size=12,
+    ))
+    checkins = draw(st.booleans())
+    if checkins:
+        lines = [f"{u}\t{ts}\t{lat!r}\t{lon!r}\tplace{u}" for u, ts, (lat, lon) in rows]
+    else:
+        lines = [f"{u},{lat!r},{lon!r}" for u, _, (lat, lon) in rows]
+        if draw(st.booleans()):
+            lines.insert(0, "node,lat,lon")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# comment", "   "])))
+    edge_lines = [f"{u}\t{v}\t{w!r}" for u, v, w in edges]
+    edge_lines.insert(draw(st.integers(min_value=0, max_value=len(edge_lines))), "# edges")
+    return "".join(f"{x}\n" for x in edge_lines), "".join(f"{x}\n" for x in lines)
+
+
+def _bits(g):
+    return [struct.pack("<dd", p.lat, p.lon) for p in g.nodes]
+
+
+@given(
+    texts=loader_inputs(),
+    policy=st.sampled_from(["mean", "last"]),
+    as_lines=st.booleans(),
+)
+# all-negative-zero components must sum to +0.0 as from a 0.0 start
+@example(texts=("0\t1\n", "0,10.0,-0.0\n0,20.0,-0.0\n1,-0.0,10.0\n1,-0.0,20.0\n"),
+         policy="mean", as_lines=False)
+# distinct rows with equal unit vectors are co-located: the first row wins
+@example(texts=("0\t1\n", "0,0.0,5e-324\n0,0.0,0.0\n1,0,0\n"), policy="mean", as_lines=True)
+@settings(max_examples=300, deadline=None)
+def test_streamed_load_equals_the_row_holding_loader(texts, policy, as_lines):
+    edges, coords = texts
+    want = naive_load(edges, coords, coord_policy=policy)
+    if as_lines:
+        got = load_graph(edges.splitlines(keepends=True), coords.splitlines(keepends=True),
+                         coord_policy=policy, missing_policy="drop")
+    else:
+        got = load(edges, coords, coord_policy=policy, missing_policy="drop")
+    assert got == want
+    assert _bits(got) == _bits(want)
+    assert got.degrees == want.degrees
+
+
+def test_load_memory_is_set_by_users_not_rows(tmp_path):
+    users = 200
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"{u}\t{(u + 1) % users}\n" for u in range(users)))
+    peaks = []
+    for rows in (50, 200):
+        checkins = tmp_path / f"checkins{rows}.tsv"
+        with open(checkins, "w", encoding="utf-8") as fh:
+            for u in range(users):
+                for r in range(rows):
+                    fh.write(f"{u}\t2010-01-01T00:00:{r % 60:02d}Z\t{u % 80}.{r:03d}\t{r % 170}.5\tplace{r}\n")
+        tracemalloc.start()
+        try:
+            g = load_graph(edges, checkins)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert g.num_nodes == users
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+LINE_ENDING_EDGES = "# friends\n0\t1\n\n1\t2\t2.5\n"
+LINE_ENDING_COORDS = (
+    "# user ts lat lon place\n"
+    "0\t2010-01-01T00:00:00Z\t1.5\t2.5\tp\n"
+    "\n"
+    "1\t2010-01-02T00:00:00Z\t3.5\t4.5\n"
+    "2\t2010-01-03T00:00:00Z\t5.5\t6.5\tp\n"
+    "0\t2010-01-04T00:00:00Z\t1.0\t2.0\tp\n"
+)
+
+
+def _sources(text, tmp_path, name):
+    """The text as a path, a StringIO and a list of lines."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return [path, io.StringIO(text), text.splitlines(keepends=True)]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_line_endings_give_the_same_graph_from_every_source(tmp_path, eol):
+    want = load(LINE_ENDING_EDGES, LINE_ENDING_COORDS)
+    edges = _sources(LINE_ENDING_EDGES.replace("\n", eol), tmp_path, "e.tsv")
+    coords = _sources(LINE_ENDING_COORDS.replace("\n", eol), tmp_path, "c.tsv")
+    for e, c in zip(edges, coords):
+        g = load_graph(e, c)
+        assert g == want
+        assert _bits(g) == _bits(want)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_line_endings_give_the_same_error_line_from_every_source(tmp_path, eol):
+    bad_edges = "# friends\n\n0\t1\n1\t2\t0\n"
+    bad_coords = LINE_ENDING_COORDS.replace("3.5\t4.5", "3.5\tfar")
+    for e in _sources(bad_edges.replace("\n", eol), tmp_path, "e.tsv"):
+        with pytest.raises(GraphDataError, match="^edge line 4: non-positive weight 0.0$"):
+            load_graph(e, io.StringIO(LINE_ENDING_COORDS))
+    for c in _sources(bad_coords.replace("\n", eol), tmp_path, "c.tsv"):
+        want = "check-in line 4: cannot parse " + repr("1\t2010-01-02T00:00:00Z\t3.5\tfar")
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(want)}$"):
+            load_graph(io.StringIO(LINE_ENDING_EDGES), c)
+
+
+def test_edge_errors_come_before_coordinate_errors():
+    with pytest.raises(GraphFormatError, match="^edge line 2"):
+        load("0\t1\nbroken\n", "0,0,0\n1,oops,0\n")
+    with pytest.raises(GraphDataError, match="^edge line 1: self-loop"):
+        load("1\t1\n", "0\t2010\t95\t0\n")
