@@ -4,7 +4,9 @@
 Expects the public Brightkite-style pair of files: a TAB-separated
 friendship edge list and a check-in log (user, ISO timestamp, lat, lon,
 place).  Produces one edge/coordinate file pair per sample, reloadable by
-the library and the CLI.
+the library and the CLI.  A sample whose files could not reload to it (one
+holding a node with no edge inside the sample) is skipped and reported, the
+remaining seeds still run, and the script then exits with status 2.
 
 Example:
     python scripts/brightkite_samples.py \
@@ -23,7 +25,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from snmod.cli import write_graph_files
-from snmod.geograph import load_graph
+from snmod.geograph import GraphDataError, load_graph
 from snmod.sampler import SampleSpec, snowball_sample
 
 
@@ -46,13 +48,20 @@ def main():
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    skipped = 0
     for seed in range(args.samples):
         sample = snowball_sample(full, SampleSpec(args.size, seed=seed))
         edges_path = out_dir / f"sample{seed:02d}_edges.tsv"
         coords_path = out_dir / f"sample{seed:02d}_coords.csv"
-        write_graph_files(sample, edges_path, coords_path)
+        try:
+            write_graph_files(sample, edges_path, coords_path)
+        except GraphDataError as exc:
+            skipped += 1
+            print(f"sample {seed}: skipped ({exc})")
+            continue
         print(f"sample {seed}: n={sample.num_nodes} m={sample.num_edges} -> {edges_path}")
+    return 2 if skipped else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,11 +17,9 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from snmod.cli import IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep, write_trace_csv
+from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep, write_trace_csv
 from snmod.geograph import load_graph
 from snmod.synth import SyntheticSpec, planted_geo_clusters
-
-SIGMAS = (300.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0)
 
 
 def parse_args():
@@ -60,7 +58,7 @@ def main():
             datasets.append((f"synthetic-s{seed}", planted_geo_clusters(spec)[0]))
 
     rows, improvements, traces = run_sweep(
-        datasets, SIGMAS, ("louvain", "louvain-sn", "snic"), (0,),
+        datasets, DEFAULT_SIGMAS, ("louvain", "louvain-sn", "snic"), (0,),
         agg="max", metric="haversine", max_iters=args.max_iters,
     )
     (out_dir / "sweep.csv").write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
@@ -72,12 +70,12 @@ def main():
     for (name, sigma, seed), trace in traces.items():
         write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
 
-    by_sigma: dict[float, dict[str, list[float]]] = {s: {} for s in SIGMAS}
+    by_sigma: dict[float, dict[str, list[float]]] = {s: {} for s in DEFAULT_SIGMAS}
     for row in rows:
         name, sigma, algo, _seed, sn, *_ = row.split(",")
         by_sigma[float(sigma)].setdefault(algo, []).append(float(sn))
     print("sigma_km  median_snic/louvain  median_louvain-sn/louvain")
-    for sigma in SIGMAS:
+    for sigma in DEFAULT_SIGMAS:
         cells = by_sigma[sigma]
         ratios_snic = [a / b for a, b in zip(cells["snic"], cells["louvain"])]
         ratios_lsn = [a / b for a, b in zip(cells["louvain-sn"], cells["louvain"])]

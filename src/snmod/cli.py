@@ -17,10 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph
+from .geograph import GeoGraph, GraphDataError, GraphFormatError, _significant, load_graph
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, Objective, run_louvain
-from .metrics import Partition, SNParams, ng_modularity, sn_modularity, community_quality
+from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity, summed
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
@@ -52,19 +52,22 @@ def write_partition_csv(path, g: GeoGraph, p: Partition) -> None:
 
 
 def read_partition_csv(path, g: GeoGraph) -> Partition:
-    """Read a partition file; every graph node must appear exactly once."""
+    """Read a partition file; every graph node must appear exactly once.
+
+    Blank and ``#`` lines are skipped; the first remaining row is a header
+    when its node field is not an integer.
+    """
     by_external: dict[int, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s.startswith("#") or (ln == 1 and s.lower().startswith("node")):
-                continue
-            parts = s.split(",")
+        for pos, (ln, raw) in enumerate(_significant(fh)):
+            parts = raw.strip().split(",")
             if len(parts) != 2:
                 raise GraphFormatError(f"partition line {ln}: expected 'node,community'")
             try:
                 node = int(parts[0])
             except ValueError:
+                if pos == 0:
+                    continue  # header row
                 raise GraphFormatError(f"partition line {ln}: bad node id {parts[0]!r}") from None
             if node in by_external:
                 raise GraphDataError(f"partition line {ln}: duplicate node {node}")
@@ -268,11 +271,8 @@ def cmd_score(args) -> int:
     partition = read_partition_csv(args.partition, g)
     params = SNParams(args.sigma, args.agg, args.metric)
     ng = ng_modularity(g, partition)
-    qualities = [community_quality(g, members, params) for members in partition.communities]
-    # summed in community order, exactly as sn_modularity sums them
-    sn = 0.0
-    for q in qualities:
-        sn += q
+    qualities = community_qualities(g, partition, params)
+    sn = summed(qualities)  # exactly sn_modularity
     print("ng_modularity,sn_modularity")
     print(f"{ng:.12g},{sn:.12g}")
     print("community,quality")

@@ -12,9 +12,11 @@ if the bound could still beat the best move found so far, re-evaluated
 exactly with an O(|c|) scan of the union's center and dispersion.  The bound
 never falls below the exact gain (triangle inequality plus a rounding
 slack), so pruning never changes a decision.  Internal-weight and degree
-sums are cached incrementally.  An optional join constraint forbids a node
-from entering a community unless it is within a given distance of every
-current member, which is what the iterated-constraint heuristic in
+sums are cached incrementally; cached qualities and exact spatially-near gains
+are built from :func:`snmod.metrics.community_term`, the term the scores sum.
+An optional join constraint, under the spatially-near objective only,
+forbids a node from entering a community unless it is within a given
+distance of every current member, which is what the iterated-constraint heuristic in
 :mod:`snmod.snic` relies on; the same center distance accepts or rejects
 most candidates in O(1) and leaves only the rest to a member scan.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geograph import GeoGraph, assemble_graph
-from .metrics import Partition, SNParams, ng_modularity, sn_modularity
+from .metrics import Partition, SNParams, _community_sums, community_qualities, community_term, summed
 
 # Relative slack on each distance that the O(1) bounds read.  Every distance
 # is mapped from a squared chord between stored vectors (see GeoKernel);
@@ -80,6 +82,8 @@ class Objective:
 class EngineConfig:
     """Engine knobs; defaults reproduce the unconstrained optimizer.
 
+    A finite ``join_constraint_km`` applies under the spatially-near
+    objective only; the optimizer refuses it under plain modularity.
     ``node_order='shuffle'`` derives one visit order per level from ``seed``,
     so runs are deterministic for a fixed config.
     """
@@ -97,9 +101,7 @@ class EngineConfig:
 
 def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
     """Evaluate a partition under the given objective."""
-    if obj.kind == "ng":
-        return ng_modularity(g, p)
-    return sn_modularity(g, p, obj.params)
+    return summed(community_qualities(g, p, obj.params))
 
 
 class _Community:
@@ -146,7 +148,7 @@ class LevelState:
         # each node's quality as a singleton, read by every SN gain
         two_m = self.two_m
         self.q_single = [
-            (self.self_w[i] - k * k / two_m) / two_m if two_m else 0.0
+            community_term(self.self_w[i], k, 0.0, two_m) if two_m else 0.0
             for i, k in enumerate(graph.degrees)
         ]
         metric = obj.params.metric if obj.kind == "sn" else "haversine"
@@ -163,11 +165,7 @@ class LevelState:
         self.next_label = max(self.communities, default=-1) + 1
         for c in self.communities.values():
             c.members.sort()
-            c.sum_deg = sum(graph.degrees[i] for i in c.members)
-            member_set = set(c.members)
-            c.sum_in = sum(
-                w for i in c.members for j, w in graph.adj[i] if j in member_set
-            )
+            c.sum_in, c.sum_deg = _community_sums(graph, c.members)
             self._refresh_geo(c)
 
     @classmethod
@@ -181,18 +179,6 @@ class LevelState:
     def extract_partition(self) -> Partition:
         return Partition.from_assignment(self.comm)
 
-    def objective_value(self) -> float:
-        """Working objective recomputed from the community caches."""
-        if self.two_m == 0:
-            return 0.0
-        total = 0.0
-        for c in self.communities.values():
-            num = c.sum_in - c.sum_deg * c.sum_deg / self.two_m
-            if self.objective.kind == "sn":
-                num /= 1.0 + c.dispersion
-            total += num
-        return total / self.two_m
-
     # -- internals ---------------------------------------------------------
 
     def _refresh_geo(self, c: _Community) -> None:
@@ -204,11 +190,7 @@ class LevelState:
             c.members, params.sigma, params.agg, rows=c.rows
         )
         c.radius = params.sigma * math.sqrt(c.dispersion)
-        c.quality = (
-            (c.sum_in - c.sum_deg * c.sum_deg / self.two_m)
-            / (1.0 + c.dispersion)
-            / self.two_m
-        )
+        c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
     def _insertion_gain(self, i: int, c: _Community | None, kiin: float) -> float:
         """Objective delta of inserting isolated node i into community c."""
@@ -226,9 +208,9 @@ class LevelState:
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
         params = self.objective.params
         _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i, rows=c.rows)
-        sum_in = c.sum_in + 2.0 * kiin + self.self_w[i]
-        sum_deg = c.sum_deg + k
-        q_union = (sum_in - sum_deg * sum_deg / two_m) / (1.0 + disp) / two_m
+        q_union = community_term(
+            c.sum_in + 2.0 * kiin + self.self_w[i], c.sum_deg + k, disp, two_m
+        )
         return q_union - c.quality - self.q_single[i]
 
     def _gain_bound(self, i: int, c: _Community, kiin: float, d: float) -> float:
@@ -274,9 +256,9 @@ class LevelState:
         params = self.objective.params
         reduced = [m for m in old.members if m != i]
         _, disp = self.kernel.stats(reduced, params.sigma, params.agg)
-        sum_in = old.sum_in - 2.0 * kiin_old - self.self_w[i]
-        sum_deg = old.sum_deg - k
-        q_reduced = (sum_in - sum_deg * sum_deg / two_m) / (1.0 + disp) / two_m
+        q_reduced = community_term(
+            old.sum_in - 2.0 * kiin_old - self.self_w[i], old.sum_deg - k, disp, two_m
+        )
         return old.quality - q_reduced - self.q_single[i]
 
     def _neighbor_weights(self, i: int) -> dict[int, float]:
@@ -372,7 +354,10 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     best strictly-improving move (gain > ``_MIN_GAIN``) is applied,
     preferring to stay on ties and the smallest community label otherwise.
     With a finite join constraint, a community is a candidate only when the
-    node is within the constraint of all current members.
+    node is within the constraint of all current members; a finite one under
+    plain modularity raises ValueError.  One candidate loop serves both
+    objectives, and exact spatially-near gains are differences of
+    :func:`snmod.metrics.community_term`, the term the scores sum.
 
     Under the spatially-near objective each candidate is bound, then
     verified, from the node's distance to the candidate's centroid.  A
@@ -393,11 +378,13 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     unstamped.  Under either objective the moves are those of visiting
     every node.
     """
-    if state.two_m == 0:
-        return 0, state
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
     sn = state.objective.kind == "sn"
+    if constrained and not sn:
+        raise ValueError("a finite join_constraint_km needs the spatially-near objective")
+    if state.two_m == 0:
+        return 0, state
     communities = state.communities
     kernel = state.kernel
     # per node: (clock, labels read, removal gain) of its last stay, else None
@@ -418,11 +405,11 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                 back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
             best_label: int | None = old_label
             best_gain = 0.0
-            if sn:
-                for label in sorted(kiin):
-                    if label == old_label:
-                        continue
-                    cand = communities[label]
+            for label in sorted(kiin):
+                if label == old_label:
+                    continue
+                cand = communities[label]
+                if sn:
                     d = kernel.distance(i, cand.centroid)
                     if state._gain_bound(i, cand, kiin[label], d) - back <= best_gain:
                         continue
@@ -432,21 +419,10 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                             ok = kernel.within_limit(cand.members, i, limit, rows=cand.rows)
                         if not ok:
                             continue
-                    gain = state._insertion_gain(i, cand, kiin[label]) - back
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_label = label
-            else:
-                for label in sorted(kiin):
-                    if label == old_label:
-                        continue
-                    cand = communities[label]
-                    if constrained and not kernel.within_limit(cand.members, i, limit):
-                        continue
-                    gain = state._insertion_gain(i, cand, kiin[label]) - back
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_label = label
+                gain = state._insertion_gain(i, cand, kiin[label]) - back
+                if gain > best_gain:
+                    best_gain = gain
+                    best_label = label
             fresh_gain = -back
             if fresh_gain > best_gain:
                 best_gain = fresh_gain
@@ -509,7 +485,6 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
     """
     node_to_meta = list(range(g.num_nodes))
     level_graph = g
-    metric = obj.params.metric if obj.kind == "sn" else "haversine"
     for level in range(_MAX_LEVELS):
         order = _visit_order(level_graph.num_nodes, cfg, level)
         state = LevelState.from_singletons(level_graph, obj, visit_order=order)
@@ -520,5 +495,5 @@ def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig())
         node_to_meta = [p_level.assignment[c] for c in node_to_meta]
         if p_level.num_communities == level_graph.num_nodes:
             break
-        level_graph = aggregate_graph(level_graph, p_level, metric=metric)
+        level_graph = aggregate_graph(level_graph, p_level, metric=state.kernel.metric)
     return Partition.from_assignment(node_to_meta)

@@ -108,14 +108,9 @@ class CommunityStats:
     dispersion: float
 
 
-def _check_partition(g: GeoGraph, p: Partition) -> None:
-    if len(p.assignment) != g.num_nodes:
-        raise ValueError(
-            f"partition covers {len(p.assignment)} nodes, graph has {g.num_nodes}"
-        )
-
-
-def _community_sums(g: GeoGraph, members: Sequence[int], member_set) -> tuple[float, float]:
+def _community_sums(g: GeoGraph, members: Sequence[int]) -> tuple[float, float]:
+    """Internal ordered-pair weight and degree sum of one community."""
+    member_set = set(members)
     sum_in = 0.0
     sum_deg = 0.0
     for i in members:
@@ -126,32 +121,46 @@ def _community_sums(g: GeoGraph, members: Sequence[int], member_set) -> tuple[fl
     return sum_in, sum_deg
 
 
+def community_term(sum_in: float, sum_deg: float, dispersion: float, two_m: float) -> float:
+    """One community's SN-modularity term.
+
+    A dispersion of 0.0 gives the Newman-Girvan term bit for bit, since
+    dividing by 1.0 is exact.  Every score and every exact optimizer gain
+    reads its terms from here.
+    """
+    return (sum_in - sum_deg * sum_deg / two_m) / (1.0 + dispersion) / two_m
+
+
+def summed(terms: Iterable[float]) -> float:
+    """Left-to-right sum of community terms.
+
+    Every total is summed by this one loop so that all scorers agree bit for
+    bit; builtin ``sum`` rounds floats differently from Python 3.12 on.
+    """
+    total = 0.0
+    for q in terms:
+        total += q
+    return total
+
+
+def community_qualities(g: GeoGraph, p: Partition, params: SNParams | None) -> list[float]:
+    """Each community's term in community order; NG terms when params is None."""
+    if len(p.assignment) != g.num_nodes:
+        raise ValueError(f"partition covers {len(p.assignment)} nodes, graph has {g.num_nodes}")
+    if g.two_m == 0:
+        return [0.0] * p.num_communities
+    kernel = None if params is None else g.kernel(params.metric)
+    return [_quality(g, members, params, kernel) for members in p.communities]
+
+
 def ng_modularity(g: GeoGraph, p: Partition) -> float:
     """Newman-Girvan modularity of a partition; in [-1, 1]."""
-    _check_partition(g, p)
-    if g.two_m == 0:
-        return 0.0
-    two_m = g.two_m
-    total = 0.0
-    # accumulate per-community quotients so the zero-dispersion case agrees
-    # with sn_modularity bit-for-bit
-    for members in p.communities:
-        member_set = set(members)
-        sum_in, sum_deg = _community_sums(g, members, member_set)
-        total += (sum_in - sum_deg * sum_deg / two_m) / two_m
-    return total
+    return summed(community_qualities(g, p, None))
 
 
 def sn_modularity(g: GeoGraph, p: Partition, params: SNParams) -> float:
     """Spatially-near modularity: per-community quality summed over communities."""
-    _check_partition(g, p)
-    if g.two_m == 0:
-        return 0.0
-    kernel = g.kernel(params.metric)
-    total = 0.0
-    for members in p.communities:
-        total += _quality(g, members, params, kernel)
-    return total
+    return summed(community_qualities(g, p, params))
 
 
 def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> float:
@@ -172,14 +181,13 @@ def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> Co
     members = sorted(int(i) for i in members)
     if not members:
         raise ValueError("empty community")
-    sum_in, sum_deg = _community_sums(g, members, set(members))
+    sum_in, sum_deg = _community_sums(g, members)
     kernel = g.kernel(params.metric)
     _, dispersion = kernel.stats(members, params.sigma, params.agg)
     return CommunityStats(sum_in, sum_deg, kernel.centroid(members), dispersion)
 
 
 def _quality(g, members, params, kernel) -> float:
-    two_m = g.two_m
-    sum_in, sum_deg = _community_sums(g, members, set(members))
-    _, dispersion = kernel.stats(members, params.sigma, params.agg)
-    return (sum_in - sum_deg * sum_deg / two_m) / (1.0 + dispersion) / two_m
+    sum_in, sum_deg = _community_sums(g, members)
+    dispersion = 0.0 if params is None else kernel.stats(members, params.sigma, params.agg)[1]
+    return community_term(sum_in, sum_deg, dispersion, g.two_m)

@@ -43,17 +43,6 @@ class SnicIteration:
 class SnicTrace:
     entries: tuple[SnicIteration, ...]
 
-    def best_index(self) -> int:
-        """Index of the first entry attaining the maximum score."""
-        best = 0
-        for i, e in enumerate(self.entries):
-            if e.sn_modularity > self.entries[best].sn_modularity:
-                best = i
-        return best
-
-    def best_sn_modularity(self) -> float:
-        return self.entries[self.best_index()].sn_modularity
-
     def csv_rows(self):
         yield "iteration,constraint_km,sn_modularity,span_km,seconds"
         for e in self.entries:

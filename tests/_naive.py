@@ -116,7 +116,9 @@ def naive_load(edge_text, coord_text, coord_policy="mean", missing_policy="drop"
         adj[index[v]].append((index[u], w))
     adj = [sorted(row) for row in adj]
     degrees = [sum(w for _, w in row) for row in adj]
-    points = [GeoPoint(float(coords[e][0]), float(coords[e][1])) for e in nodes]
+    # node longitudes lie in (-180, 180]: a mean that lands on -180 reads 180
+    points = [GeoPoint(float(coords[e][0]), 180.0 if coords[e][1] == -180.0 else float(coords[e][1]))
+              for e in nodes]
     return GeoGraph(nodes, points, adj, degrees, sum(degrees))
 
 

@@ -17,6 +17,7 @@ COLOCATED_COORD_TEXT = "".join(
     f"{i},0,0\n" for i in range(3)
 ) + "".join(f"{i},0,0.9\n" for i in range(3, 6))
 ZERO_COORD_TEXT = "".join(f"{i},0,0\n" for i in range(6))
+TRIANGLES_PARTITION = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 
 
 @pytest.fixture
@@ -187,6 +188,22 @@ class TestScore:
         params = SNParams(50.0)
         assert lines[1] == f"{ng_modularity(g, p):.12g},{sn_modularity(g, p, params):.12g}"
         assert len(lines) == 3 + p.num_communities
+
+    def test_partition_header_after_comment_lines(self, fixture_files, tmp_path):
+        # the header is the first significant row, as in a coordinate CSV
+        edges, coords = fixture_files
+        g = load_graph(edges, coords)
+        part = tmp_path / "given.csv"
+        rows = "".join(f"{i},{i // 3}\n" for i in range(6))
+        part.write_text("# written by hand\n\nnode,community\n" + rows)
+        assert read_partition_csv(part, g) == TRIANGLES_PARTITION
+        part.write_text("# no header\n" + rows)
+        assert read_partition_csv(part, g) == TRIANGLES_PARTITION
+        # a non-integer node field after the first row is still an error
+        part.write_text("node,community\n" + rows + "node,community\n")
+        rc = main(["score", "--edges", str(edges), "--coords", str(coords),
+                   "--partition", str(part), "--sigma", "1"])
+        assert rc == 2
 
     def test_partition_with_unknown_node_errors(self, fixture_files, tmp_path):
         edges, coords = fixture_files

@@ -277,6 +277,8 @@ def _bits(g):
          policy="mean", as_lines=False)
 # distinct rows with equal unit vectors are co-located: the first row wins
 @example(texts=("0\t1\n", "0,0.0,5e-324\n0,0.0,0.0\n1,0,0\n"), policy="mean", as_lines=True)
+# a mean whose longitude comes out at -180 is stored as 180
+@example(texts=("0\t1\n", "1,-0.0,180.0\n1,0.0,-179.99999999999997\n"), policy="mean", as_lines=False)
 @settings(max_examples=300, deadline=None)
 def test_streamed_load_equals_the_row_holding_loader(texts, policy, as_lines):
     edges, coords = texts

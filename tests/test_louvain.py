@@ -141,10 +141,22 @@ class TestLocalMovePass:
             g = random_geo_graph(rng, 12)
             obj = Objective.sn(SNParams(1000.0))
             state = LevelState.from_singletons(g, obj)
-            before = state.objective_value()
+            before = objective_value(g, state.extract_partition(), obj)
             _, state = local_move_pass(state)
-            after = state.objective_value()
+            after = objective_value(g, state.extract_partition(), obj)
             assert after >= before - 1e-12
+
+    def test_join_constraint_is_refused_under_plain_modularity(self, bridged):
+        cfg = EngineConfig(join_constraint_km=100.0)
+        with pytest.raises(ValueError, match="spatially-near"):
+            local_move_pass(LevelState.from_singletons(bridged, Objective.ng()), cfg)
+        with pytest.raises(ValueError, match="spatially-near"):
+            run_louvain(bridged, Objective.ng(), cfg)
+        # an edgeless graph is refused too, before the early return
+        g = GeoGraph.from_edges([], {0: (0.0, 0.0)}, extra_nodes=[0])
+        with pytest.raises(ValueError, match="spatially-near"):
+            run_louvain(g, Objective.ng(), cfg)
+        assert run_louvain(g, Objective.sn(SNParams(1.0)), cfg) == Partition.singletons(1)
 
 
 class TestAggregateGraph:
@@ -374,7 +386,7 @@ class TestStampSkip:
         g = random_geo_graph(rng, rng.randint(2, 40), edge_p=rng.choice([0.05, 0.15, 0.4]))
         scale = rng.choice([0.1, 1.0, 10.0])
         params = SNParams((1500.0 if metric == "haversine" else 30.0) * scale, agg=agg, metric=metric)
-        limit = math.inf if mode == "snic" else rng.choice([math.inf, params.sigma])
+        limit = rng.choice([math.inf, params.sigma]) if mode == "sn" else math.inf
         cfg = EngineConfig(join_constraint_km=limit, node_order="shuffle", seed=seed)
         skipping = _detect(g, mode, params, cfg)
         with pytest.MonkeyPatch.context() as mp:

@@ -10,8 +10,10 @@ from snmod.metrics import (
     CommunityStats,
     Partition,
     SNParams,
+    community_qualities,
     community_quality,
     community_stats,
+    community_term,
     ng_modularity,
     sn_modularity,
 )
@@ -153,6 +155,31 @@ def test_decomposition_identity(seed):
     params = SNParams(10 ** rng.uniform(0, 4), agg=rng.choice(("max", "sum")))
     total = sum(community_quality(g, c, params) for c in p.communities)
     assert sn_modularity(g, p, params) == pytest.approx(total, abs=1e-12)
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_one_term_serves_both_objectives(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        sum_in, sum_deg, two_m = rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform(50, 100)
+        # zero dispersion is the Newman-Girvan term bit for bit
+        assert community_term(sum_in, sum_deg, 0.0, two_m) == (sum_in - sum_deg * sum_deg / two_m) / two_m
+    g = random_geo_graph(rng, rng.randint(2, 12))
+    p = random_partition(rng, g.num_nodes)
+    params = SNParams(10 ** rng.uniform(0, 4), agg=rng.choice(("max", "sum")))
+    terms = community_qualities(g, p, params)
+    assert terms == [community_quality(g, c, params) for c in p.communities]
+    total = 0.0
+    for q in terms:
+        total += q
+    assert sn_modularity(g, p, params) == total
+    colocated = GeoGraph.from_edges(
+        [(u, v, w) for u, v, w in g.undirected_edges()], {i: (0.0, 0.0) for i in range(g.num_nodes)},
+        extra_nodes=range(g.num_nodes),
+    )
+    assert community_qualities(g, p, None) == community_qualities(colocated, p, params)
+    assert ng_modularity(g, p) == sn_modularity(colocated, p, params)
 
 
 @given(seed=seeds)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from snmod.geograph import load_graph
 from snmod.sampler import SampleSpec, snowball_sample
+from snmod.synth import SyntheticSpec, planted_geo_clusters
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,3 +34,37 @@ def test_brightkite_samples_reload_to_their_samples(tmp_path):
         )
         assert sample.num_nodes == 4
         assert sample == snowball_sample(full, SampleSpec(4, seed=seed))
+
+
+def test_brightkite_samples_skip_a_sample_that_cannot_reload(tmp_path):
+    # the criterion-9 graph as check-ins: at size 20 the seed-1 snowball ends
+    # on external node 33, which has no edge inside the sample
+    g, _ = planted_geo_clusters(
+        SyntheticSpec(n_nodes=200, n_clusters=4, p_intra=0.1, p_inter=0.01,
+                      spacing_km=1000.0, spread_km=15.0, seed=3)
+    )
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(
+        f"{g.external_ids[u]}\t{g.external_ids[v]}\t{w!r}\n" for u, v, w in g.undirected_edges()
+    ))
+    checkins = tmp_path / "checkins.txt"
+    checkins.write_text("".join(
+        f"{e}\t2009-01-01T00:00:00Z\t{node.lat!r}\t{node.lon!r}\tp\n"
+        for e, node in zip(g.external_ids, g.nodes)
+    ))
+    out_dir = tmp_path / "samples"
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "brightkite_samples.py"), "--edges", str(edges),
+         "--checkins", str(checkins), "--out-dir", str(out_dir), "--samples", "3", "--size", "20"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert "sample 1: skipped (node 33 has no edges" in run.stdout
+    assert "Traceback" not in run.stderr
+    assert not list(out_dir.glob("sample01_*"))
+    full = load_graph(edges, checkins, missing_policy="drop")
+    for seed in (0, 2):
+        sample = load_graph(
+            out_dir / f"sample{seed:02d}_edges.tsv", out_dir / f"sample{seed:02d}_coords.csv"
+        )
+        assert sample == snowball_sample(full, SampleSpec(20, seed=seed))
