@@ -318,6 +318,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("sigmas, algos and seeds must be non-empty")
 
     datasets = []
+    if args.synthetic and (args.edges or args.coords):
+        raise ValueError("provide either --edges/--coords or --synthetic, not both")
     if args.synthetic:
         spec = _parse_synthetic(args.synthetic)
         for gs in (int(s) for s in args.graph_seeds.split(",") if s):

@@ -8,15 +8,14 @@ tests where exact hand-computable distance values are convenient.
 on the sphere, ``(x, y, 0.0)`` on the plane.  Every centre, distance, join
 check and span it computes then goes through one path, the squared chord
 (Euclidean distance) between two vectors.  Only three things depend on the
-metric: building the vector table, the centre (the mean vector, renormalized
-on the sphere) and the monotone map from squared chord to distance
-(``2R asin(chord / 2)`` on the sphere, ``chord`` on the plane).
+metric: building the vectors, the centre (the mean vector, renormalized on
+the sphere) and the monotone map from squared chord to distance
+(``2R asin(chord / 2)`` on the sphere, ``chord`` on the plane).  The module
+is plain Python and needs no third-party package.
 """
 
 import math
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -27,10 +26,6 @@ AGG_NAMES = ("max", "sum")
 # Mean unit vectors shorter than this (per point) are treated as directionless
 # (e.g. an antipodal pair) and fall back to the first input point.
 _DEGENERATE_NORM = 1e-9
-
-# Member sets at or below this size take the scalar path in GeoKernel;
-# numpy's per-call overhead only pays off above it.
-_SCALAR_MAX = 24
 
 
 class GeoPoint(NamedTuple):
@@ -141,31 +136,22 @@ def _arc_km(c2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(c2) * 0.5))
 
 
-def _arc_km_rows(c2: np.ndarray) -> np.ndarray:
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(c2) * 0.5))
-
-
-# Squared chord -> distance, for one value and for an array, per metric.
-# Both maps are monotone, so the largest distance is the largest chord's.
-_CHORD_TO_KM = {
-    "haversine": (_arc_km, _arc_km_rows),
-    "planar": (math.sqrt, np.sqrt),
-}
+# Squared chord -> distance, per metric.  Both maps are monotone, so the
+# largest distance is the largest chord's.
+_CHORD_TO_KM = {"haversine": _arc_km, "planar": math.sqrt}
 
 
 class GeoKernel:
     """Distance/centroid/dispersion engine over a fixed point table.
 
     Built once per node set (graph or coarsened graph level).  Each point is
-    stored as a 3-D vector (``vecs``, and as rows of one numpy table), and
-    every distance is mapped from the squared chord between two vectors, so
-    the metric matters only when the table is built, when a centre is taken
-    and when a chord becomes a distance.  Member sets are python lists of
-    node indices; sets of at most ``_SCALAR_MAX`` take a scalar path, larger
-    ones a vectorized path over an optional cached row matrix, so
-    per-community statistics stay O(|c|) with small constants either way.
-    Both paths compute each chord with the same operations in the same
-    order.
+    stored as a 3-D vector (``vecs``), and every distance is mapped from the
+    squared chord between two vectors, so the metric matters only when the
+    vectors are built, when a centre is taken and when a chord becomes a
+    distance.  Member sets are python lists of node indices, and every
+    per-set statistic is one O(|c|) pass over them, the same at every set
+    size: vectors are summed one by one in member order, so :meth:`stats`
+    and :meth:`centroid` take a set's centre from the same sums.
     """
 
     def __init__(self, points: Sequence, metric: str = "haversine"):
@@ -174,26 +160,7 @@ class GeoKernel:
         self.metric = metric
         self.points = points  # not copied: a graph passes its own node tuple
         self.vecs = list(map(unit_vector if metric == "haversine" else _plane_vector, points))
-        self._table = np.array(self.vecs, dtype=float).reshape(-1, 3)
-        self._km, self._km_rows = _CHORD_TO_KM[metric]
-
-    # -- row caching -------------------------------------------------------
-
-    def member_rows(self, members: Sequence[int]) -> np.ndarray | None:
-        """Gathered table rows for a member list, for reuse across calls.
-
-        Returns None for sets small enough that the scalar path is used.
-        """
-        return None if len(members) <= _SCALAR_MAX else self._rows(members)
-
-    def _rows(self, members) -> np.ndarray:
-        return self._table[np.fromiter(members, dtype=np.intp, count=len(members))]
-
-    def _gather(self, members, plus, rows):
-        """Row matrix for members (+ optional extra node), sharing the cache."""
-        if rows is None:
-            rows = self._rows(members)
-        return rows if plus is None else np.concatenate((rows, self._table[plus : plus + 1]))
+        self._km = _CHORD_TO_KM[metric]
 
     # -- centres and chords --------------------------------------------------
 
@@ -202,27 +169,10 @@ class GeoKernel:
         first = self.points[members[0]] if members else None
         return _centroid(first, map(self.vecs.__getitem__, members), self.metric)
 
-    def _chord2(self, v, members, rows=None):
-        """Squared chords from vector ``v`` to each member.
-
-        A list for at most ``_SCALAR_MAX`` members without ``rows``; an
-        array over ``rows`` (gathered if not given) otherwise.
-        """
-        if rows is None:
-            if len(members) <= _SCALAR_MAX:
-                vecs = self.vecs
-                return [_sq_chord(vecs[i], v) for i in members]
-            rows = self._rows(members)
-        d = rows - v
-        d *= d
-        return d[:, 0] + d[:, 1] + d[:, 2]
-
-    def _max_chord2(self, v, members, rows=None) -> float:
+    def _max_chord2(self, v, members) -> float:
         """Largest squared chord from vector ``v`` to any member; 0 for none."""
-        c2 = self._chord2(v, members, rows)
-        if isinstance(c2, np.ndarray):
-            return float(c2.max())
-        return max(c2, default=0.0)
+        vecs = self.vecs
+        return max([_sq_chord(vecs[i], v) for i in members], default=0.0)
 
     def distance(self, i: int, centre) -> float:
         """Distance from node ``i`` to a centre vector returned by :meth:`stats`."""
@@ -236,13 +186,13 @@ class GeoKernel:
         sigma: float,
         agg: str,
         plus: int | None = None,
-        rows: np.ndarray | None = None,
     ) -> tuple[tuple[float, float, float], float]:
         """Centre vector and aggregated squared normalized distance for one member set.
 
         ``members`` must be sorted ascending; ``plus`` optionally adds one
         more node (candidate insertions are evaluated without mutating any
-        state); ``rows`` may carry :meth:`member_rows` output for ``members``.
+        state).  The centre sums the vectors left to right, ``plus`` last;
+        ``agg='sum'`` adds each ``(distance / sigma)²`` in the same order.
         """
         if agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {agg!r}")
@@ -255,35 +205,34 @@ class GeoKernel:
             first = members[0]
         vecs = self.vecs
         v0 = vecs[first]
-        if total <= _SCALAR_MAX:
-            ids = members if plus is None else [*members, plus]
-            rows = None
-            if all(vecs[i] == v0 for i in ids):
-                # exact co-location keeps zero dispersion exactly zero
-                return v0, 0.0
-            sx = sy = sz = 0.0
-            for i in ids:
-                x, y, z = vecs[i]
-                sx += x
-                sy += y
-                sz += z
-        else:
-            ids = None
-            rows = self._gather(members, plus, rows)
-            if (rows == rows[0]).all():
-                return v0, 0.0
-            sx, sy, sz = (float(rows[:, j].sum()) for j in range(3))
+        ids = members if plus is None else [*members, plus]
+        if all(vecs[i] == v0 for i in ids):
+            # exact co-location keeps zero dispersion exactly zero
+            return v0, 0.0
+        sx = sy = sz = 0.0
+        for i in ids:
+            x, y, z = vecs[i]
+            sx += x
+            sy += y
+            sz += z
         centre = _mean_vector(sx, sy, sz, total, self.metric) or v0
+        km = self._km
         if agg == "max":
-            r = self._km(self._max_chord2(centre, ids, rows)) / sigma
+            r = km(self._max_chord2(centre, ids)) / sigma
             return centre, r * r
-        r = self._km_rows(np.asarray(self._chord2(centre, ids, rows))) / sigma
-        return centre, float((r * r).sum())
+        disp = 0.0
+        for i in ids:
+            r = km(_sq_chord(vecs[i], centre)) / sigma
+            disp += r * r
+        return centre, disp
 
     # -- spans and join checks -----------------------------------------------
 
     def span(self, members: Sequence[int]) -> float:
-        """Largest pairwise distance among members; 0 for fewer than two."""
+        """Largest pairwise distance among members; 0 for fewer than two.
+
+        Every pair is scanned, so a span costs O(|c|²) chords.
+        """
         best = 0.0
         for a in range(len(members) - 1):
             c2 = self._max_chord2(self.vecs[members[a]], members[a + 1 :])
@@ -291,12 +240,6 @@ class GeoKernel:
                 best = c2
         return self._km(best)
 
-    def within_limit(
-        self,
-        members: Sequence[int],
-        i: int,
-        limit_km: float,
-        rows: np.ndarray | None = None,
-    ) -> bool:
+    def within_limit(self, members: Sequence[int], i: int, limit_km: float) -> bool:
         """True when every member lies within ``limit_km`` of node ``i``."""
-        return self._km(self._max_chord2(self.vecs[i], members, rows)) <= limit_km
+        return self._km(self._max_chord2(self.vecs[i], members)) <= limit_km

@@ -34,8 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geograph import GeoGraph, assemble_graph
 from .metrics import Partition, SNParams, _community_sums, community_qualities, community_term, summed
 
@@ -106,14 +104,11 @@ def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
 
 class _Community:
     __slots__ = (
-        "members", "rows", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality",
-        "stamp",
+        "members", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality", "stamp",
     )
 
     def __init__(self):
         self.members: list[int] = []
-        # kernel.member_rows(members), gathered under the SN objective only
-        self.rows: np.ndarray | None = None
         self.sum_deg = 0.0
         self.sum_in = 0.0
         # centre vector, as GeoKernel.stats returns it
@@ -184,11 +179,8 @@ class LevelState:
     def _refresh_geo(self, c: _Community) -> None:
         if self.objective.kind != "sn" or self.two_m == 0:
             return
-        c.rows = self.kernel.member_rows(c.members)
         params = self.objective.params
-        c.centroid, c.dispersion = self.kernel.stats(
-            c.members, params.sigma, params.agg, rows=c.rows
-        )
+        c.centroid, c.dispersion = self.kernel.stats(c.members, params.sigma, params.agg)
         c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
@@ -207,7 +199,7 @@ class LevelState:
         ):
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
         params = self.objective.params
-        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i, rows=c.rows)
+        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i)
         q_union = community_term(
             c.sum_in + 2.0 * kiin + self.self_w[i], c.sum_deg + k, disp, two_m
         )
@@ -416,7 +408,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                     if constrained:
                         ok = _join_verdict(d, cand.radius, limit)
                         if ok is None:
-                            ok = kernel.within_limit(cand.members, i, limit, rows=cand.rows)
+                            ok = kernel.within_limit(cand.members, i, limit)
                         if not ok:
                             continue
                 gain = state._insertion_gain(i, cand, kiin[label]) - back

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,20 @@ COLOCATED_COORD_TEXT = "".join(
 ) + "".join(f"{i},0,0.9\n" for i in range(3, 6))
 ZERO_COORD_TEXT = "".join(f"{i},0,0\n" for i in range(6))
 TRIANGLES_PARTITION = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
+
+NO_NUMPY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+src, edges, coords, out = sys.argv[1:5]
+sys.path.insert(0, src)
+from snmod import cli
+io = ["--edges", edges, "--coords", coords, "--sigma", "50"]
+rcs = [
+    cli.main(["detect", "--algo", "snic", "--out", out, *io]),
+    cli.main(["score", "--partition", out, *io]),
+]
+print(rcs)
+"""
 
 
 @pytest.fixture
@@ -274,6 +291,15 @@ class TestSweep:
         rc = main(["sweep", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_sweep_refuses_files_with_synthetic(self, fixture_files, tmp_path):
+        edges, coords = fixture_files
+        out = tmp_path / "s.csv"
+        for files in (["--edges", str(edges), "--coords", str(coords)], ["--edges", str(edges)]):
+            rc = main(["sweep", *files, "--synthetic", "nodes=10,clusters=2",
+                       "--sigmas", "300", "--max-iters", "2", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
+
     def test_bad_algorithm_rejected(self, tmp_path):
         rc = main(["sweep", "--synthetic", "nodes=10,clusters=2",
                    "--algos", "metis", "--out", str(tmp_path / "s.csv")])
@@ -370,3 +396,17 @@ def test_detect_runs_are_bit_identical(fixture_files, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_detect_and_score_run_without_numpy(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(BRIDGED_EDGE_TEXT)
+    coords = tmp_path / "coords.csv"
+    coords.write_text("0,0,0\n1,0.2,0.1\n2,0,0.9\n3,1,1\n4,1.5,1\n5,-1,2\n")
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RUN, str(Path(__file__).resolve().parents[1] / "src"),
+         str(edges), str(coords), str(tmp_path / "partition.csv")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0]", run.stdout + run.stderr

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +13,7 @@ from snmod.geometry import (
     METRIC_NAMES,
     GeoKernel,
     GeoPoint,
+    _mean_vector,
     max_pairwise_span_km,
     planar_centroid,
     spherical_centroid,
@@ -160,16 +160,32 @@ class TestGeoKernel:
             assert _as_point(c1, metric)[0] == pytest.approx(_as_point(c2, metric)[0], abs=1e-9)
             assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-12)
 
-    def test_rows_cache_gives_same_answer(self):
-        rng = random.Random(9)
-        pts = self._random_points(rng, 90)
-        kernel = GeoKernel(pts)
-        members = sorted(rng.sample(range(90), 60))
-        rows = kernel.member_rows(members)
-        assert rows is not None
-        a = kernel.stats(members, 300.0, "sum", rows=rows)
-        b = kernel.stats(members, 300.0, "sum")
-        assert a == b
+    @pytest.mark.parametrize("with_plus", [False, True])
+    def test_large_sets_sum_in_member_order(self, with_plus):
+        """For 40-member sets, the centre is the mean of the vectors summed
+        left to right (``plus`` last), and ``agg='sum'`` adds each squared
+        normalized distance with ``+=`` in the same order."""
+        rng = random.Random(41)
+        pts = self._random_points(rng, 120)
+        for metric in METRIC_NAMES:
+            kernel = GeoKernel(pts, metric)
+            for _ in range(20):
+                members = sorted(rng.sample(range(119), 40))
+                plus = 119 if with_plus else None
+                ids = members + [plus] if with_plus else members
+                sx = sy = sz = 0.0
+                for i in ids:
+                    sx += kernel.vecs[i][0]
+                    sy += kernel.vecs[i][1]
+                    sz += kernel.vecs[i][2]
+                want_centre = _mean_vector(sx, sy, sz, len(ids), metric)
+                want_disp = 0.0
+                for i in ids:
+                    r = kernel.distance(i, want_centre) / 700.0
+                    want_disp += r * r
+                assert kernel.stats(members, 700.0, "sum", plus) == (want_centre, want_disp)
+                centre, _ = kernel.stats(members, 700.0, "max", plus)
+                assert centre == want_centre
 
     def test_colocated_members_have_exactly_zero_dispersion(self):
         cases = [

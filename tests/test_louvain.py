@@ -2,7 +2,6 @@ import math
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,7 +314,7 @@ class TestBoundThenVerify:
                     continue
                 verdict = _join_verdict(d, c.radius, limit)
                 if verdict is not None:
-                    assert verdict == kernel.within_limit(c.members, i, limit, rows=c.rows)
+                    assert verdict == kernel.within_limit(c.members, i, limit)
 
     @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
     @pytest.mark.parametrize("agg", ["max", "sum"])
@@ -482,10 +481,6 @@ def _assert_caches_fresh(state: LevelState) -> None:
             assert c.quality == pytest.approx(f.quality, rel=1e-9, abs=1e-15)
         else:
             assert c.quality == f.quality == 0.0
-        if f.rows is None:
-            assert c.rows is None
-        else:
-            assert np.array_equal(c.rows, f.rows)
 
 
 @pytest.mark.parametrize(
