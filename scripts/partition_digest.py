@@ -35,7 +35,7 @@ except ImportError:
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import random_geo_graph  # noqa: E402
-from snmod.louvain import EngineConfig, Objective, run_louvain  # noqa: E402
+from snmod.louvain import EngineConfig, run_louvain  # noqa: E402
 from snmod.metrics import SNParams  # noqa: E402
 from snmod.snic import SnicConfig, run_snic  # noqa: E402
 from snmod.synth import planted_geo_clusters  # noqa: E402
@@ -46,12 +46,8 @@ AGGS = ("max", "sum")
 RANDOM_SETTINGS = (("haversine", 1500.0), ("planar", 30.0))
 
 
-def _engine(seed: int, limit: float = float("inf")) -> EngineConfig:
-    return EngineConfig(join_constraint_km=limit, node_order="shuffle", seed=seed)
-
-
 def snic_record(g, params, seed):
-    run = run_snic(g, SnicConfig(params, max_iters=10, engine=_engine(seed)))
+    run = run_snic(g, SnicConfig(params, max_iters=10, engine=EngineConfig(seed=seed)))
     trace = [(e.iteration, e.constraint_km, e.sn_modularity, e.span_km) for e in run.trace.entries]
     return run.partition.assignment, trace
 
@@ -64,7 +60,7 @@ def runs(ensemble_graphs: int, random_graphs: int):
             for agg in AGGS:
                 params = SNParams(sigma, agg=agg)
                 yield "ensemble-snic", (seed, sigma, agg), lambda g=g, p=params, s=seed: snic_record(g, p, s)
-        yield "ensemble-ng", (seed,), lambda g=g, s=seed: run_louvain(g, Objective.ng(), _engine(s)).assignment
+        yield "ensemble-ng", (seed,), lambda g=g, s=seed: run_louvain(g, None, EngineConfig(seed=s)).assignment
     for seed in range(random_graphs):
         g = random_geo_graph(random.Random(seed), 60, edge_p=0.08)
         for metric, dist in RANDOM_SETTINGS:
@@ -72,7 +68,7 @@ def runs(ensemble_graphs: int, random_graphs: int):
                 params = SNParams(dist, agg=agg, metric=metric)
                 key = (seed, metric, dist, agg)
                 yield "random-sn", key, lambda g=g, p=params, s=seed, d=dist: run_louvain(
-                    g, Objective.sn(p), _engine(s, d)
+                    g, p, EngineConfig(join_constraint_km=d, seed=s)
                 ).assignment
                 yield "random-snic", key, lambda g=g, p=params, s=seed: snic_record(g, p, s)
 

@@ -17,7 +17,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep, write_trace_csv
+from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER, run_sweep, write_sweep_traces
 from snmod.geograph import load_graph
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
@@ -65,10 +65,7 @@ def main():
     (out_dir / "sweep_improvements.csv").write_text(
         "\n".join([IMPROVEMENT_HEADER, *improvements]) + "\n"
     )
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for (name, sigma, seed), trace in traces.items():
-        write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
+    write_sweep_traces(out_dir / "traces", traces)
 
     by_sigma: dict[float, dict[str, list[float]]] = {s: {} for s in DEFAULT_SIGMAS}
     for row in rows:

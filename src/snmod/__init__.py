@@ -21,11 +21,9 @@ from .geometry import (
 from .louvain import (
     EngineConfig,
     LevelState,
-    Objective,
     aggregate_graph,
     local_move_pass,
     move_gain,
-    objective_value,
     run_louvain,
 )
 from .metrics import (

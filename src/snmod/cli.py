@@ -15,11 +15,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .geograph import GeoGraph, GraphDataError, GraphFormatError, _significant, load_graph
 from .geometry import AGG_NAMES, METRIC_NAMES
-from .louvain import EngineConfig, Objective, run_louvain
+from .louvain import EngineConfig, run_louvain
 from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity, summed
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
@@ -113,6 +114,14 @@ def write_trace_csv(path, trace: SnicTrace) -> None:
             fh.write(row + "\n")
 
 
+def write_sweep_traces(trace_dir, traces) -> None:
+    """Write each ``run_sweep`` trace as ``trace_{name}_sigma{sigma:g}_seed{seed}.csv``."""
+    trace_dir = Path(trace_dir)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    for (name, sigma, seed), trace in traces.items():
+        write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
+
+
 def export_geojson(g: GeoGraph, p: Partition, path) -> None:
     """One Point feature per node, one LineString per edge (lon,lat order)."""
     features = []
@@ -162,28 +171,22 @@ def _append_csv(path, header: str, rows: list[str]) -> None:
 # -- algorithm drivers -------------------------------------------------------
 
 
-def _engine(seed: int) -> EngineConfig:
-    return EngineConfig(node_order="shuffle", seed=seed)
-
-
 def run_algorithm(g, algo, params: SNParams, seed: int, max_iters: int):
     """Run one algorithm; returns (partition, seconds, iterations, trace|None)."""
+    engine = EngineConfig(seed=seed)
+    trace = None
     started = time.perf_counter()
     if algo == "louvain":
-        partition = run_louvain(g, Objective.ng(), _engine(seed))
-        trace = None
-        iterations = 1
+        partition = run_louvain(g, None, engine)
     elif algo == "louvain-sn":
-        partition = run_louvain(g, Objective.sn(params), _engine(seed))
-        trace = None
-        iterations = 1
+        partition = run_louvain(g, params, engine)
     elif algo == "snic":
-        cfg = SnicConfig(params=params, max_iters=max_iters, engine=_engine(seed))
+        cfg = SnicConfig(params=params, max_iters=max_iters, engine=engine)
         partition, trace = run_snic(g, cfg)
-        iterations = len(trace.entries)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     seconds = time.perf_counter() - started
+    iterations = 1 if trace is None else len(trace.entries)
     return partition, seconds, iterations, trace
 
 
@@ -241,10 +244,7 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
 
 def _load(args) -> GeoGraph:
     return load_graph(
-        args.edges,
-        args.coords,
-        coord_policy=getattr(args, "coord_policy", "mean"),
-        missing_policy=getattr(args, "missing_policy", "error"),
+        args.edges, args.coords, coord_policy=args.coord_policy, missing_policy=args.missing_policy
     )
 
 
@@ -323,8 +323,6 @@ def cmd_sweep(args) -> int:
     if args.synthetic:
         spec = _parse_synthetic(args.synthetic)
         for gs in (int(s) for s in args.graph_seeds.split(",") if s):
-            from dataclasses import replace
-
             graph, _ = planted_geo_clusters(replace(spec, seed=gs))
             datasets.append((f"synthetic-s{gs}", graph))
     elif args.edges and args.coords:
@@ -341,10 +339,7 @@ def cmd_sweep(args) -> int:
     )
     _append_csv(improvements_path, IMPROVEMENT_HEADER, improvements)
     if args.trace_dir:
-        trace_dir = Path(args.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for (name, sigma, seed), trace in traces.items():
-            write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
+        write_sweep_traces(args.trace_dir, traces)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .geograph import GeoGraph, assemble_graph
-from .metrics import Partition, SNParams, _community_sums, community_qualities, community_term, summed
+from .metrics import Partition, SNParams, _community_sums, community_term
 
 # Relative slack on each distance that the O(1) bounds read.  Every distance
 # is mapped from a squared chord between stored vectors (see GeoKernel);
@@ -53,53 +53,24 @@ _MAX_LEVELS = 50
 
 
 @dataclass(frozen=True)
-class Objective:
-    """What the engine maximizes: plain modularity or the spatially-near form."""
-
-    kind: str
-    params: SNParams | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ng", "sn"):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "sn" and self.params is None:
-            raise ValueError("spatially-near objective requires SNParams")
-        if self.kind == "ng" and self.params is not None:
-            raise ValueError("plain modularity takes no SNParams")
-
-    @classmethod
-    def ng(cls) -> "Objective":
-        return cls("ng")
-
-    @classmethod
-    def sn(cls, params: SNParams) -> "Objective":
-        return cls("sn", params)
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """Engine knobs; defaults reproduce the unconstrained optimizer.
 
     A finite ``join_constraint_km`` applies under the spatially-near
-    objective only; the optimizer refuses it under plain modularity.
-    ``node_order='shuffle'`` derives one visit order per level from ``seed``,
-    so runs are deterministic for a fixed config.
+    objective only; the optimizer refuses it under plain modularity.  It
+    holds against every member at node resolution on level 0 only: coarsened
+    levels check it between meta-node centres, so a final community may span
+    more than the constraint.  ``seed=None`` visits nodes in ascending order;
+    an int derives one shuffled visit order per level from it, so runs are
+    deterministic for a fixed config.
     """
 
     join_constraint_km: float = math.inf
-    node_order: str = "ascending"
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self):
         if not self.join_constraint_km > 0:
             raise ValueError("join_constraint_km must be positive (inf = unbounded)")
-        if self.node_order not in ("ascending", "shuffle"):
-            raise ValueError(f"unknown node_order {self.node_order!r}")
-
-
-def objective_value(g: GeoGraph, p: Partition, obj: Objective) -> float:
-    """Evaluate a partition under the given objective."""
-    return summed(community_qualities(g, p, obj.params))
 
 
 class _Community:
@@ -124,15 +95,16 @@ class _Community:
 class LevelState:
     """Mutable move-phase state over one (possibly coarsened) graph.
 
-    Holds the node -> community assignment plus per-community caches.  A
-    state is built for one objective and is single-threaded; the underlying
-    graph is never mutated.  ``clock`` counts the moves applied; each move
-    stamps its source and target community with the new count.
+    Holds the node -> community assignment (singletons by default) plus
+    per-community caches.  A state is built for one objective, plain
+    modularity when ``params`` is None, and is single-threaded; the graph is
+    never mutated.  ``clock`` counts the moves applied; each move stamps its
+    source and target community with the new count.
     """
 
-    def __init__(self, graph: GeoGraph, obj: Objective, assignment, visit_order=None):
+    def __init__(self, graph: GeoGraph, params: SNParams | None, assignment=None, visit_order=None):
         self.graph = graph
-        self.objective = obj
+        self.params = params
         n = graph.num_nodes
         self.two_m = graph.two_m
         self.self_w = [0.0] * n
@@ -146,9 +118,8 @@ class LevelState:
             community_term(self.self_w[i], k, 0.0, two_m) if two_m else 0.0
             for i, k in enumerate(graph.degrees)
         ]
-        metric = obj.params.metric if obj.kind == "sn" else "haversine"
-        self.kernel = graph.kernel(metric)
-        self.comm = [int(c) for c in assignment]
+        self.kernel = graph.kernel("haversine" if params is None else params.metric)
+        self.comm = list(range(n)) if assignment is None else [int(c) for c in assignment]
         if len(self.comm) != n:
             raise ValueError("assignment length does not match the graph")
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
@@ -163,34 +134,27 @@ class LevelState:
             c.sum_in, c.sum_deg = _community_sums(graph, c.members)
             self._refresh_geo(c)
 
-    @classmethod
-    def from_singletons(cls, graph, obj, visit_order=None) -> "LevelState":
-        return cls(graph, obj, range(graph.num_nodes), visit_order)
-
-    @classmethod
-    def from_partition(cls, graph, partition: Partition, obj, visit_order=None) -> "LevelState":
-        return cls(graph, obj, partition.assignment, visit_order)
-
     def extract_partition(self) -> Partition:
         return Partition.from_assignment(self.comm)
 
     # -- internals ---------------------------------------------------------
 
     def _refresh_geo(self, c: _Community) -> None:
-        if self.objective.kind != "sn" or self.two_m == 0:
+        params = self.params
+        if params is None or self.two_m == 0:
             return
-        params = self.objective.params
         c.centroid, c.dispersion = self.kernel.stats(c.members, params.sigma, params.agg)
         c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
     def _insertion_gain(self, i: int, c: _Community | None, kiin: float) -> float:
-        """Objective delta of inserting isolated node i into community c."""
+        """Change in the objective from inserting isolated node i into community c."""
         if c is None or not c.members:
             return 0.0
         two_m = self.two_m
         k = self.graph.degrees[i]
-        if self.objective.kind == "ng" or (
+        params = self.params
+        if params is None or (
             # zero dispersion before and after: the spatially-near gain
             # reduces algebraically to the plain form; computing it that way
             # keeps the two objectives bit-identical on co-located nodes
@@ -198,7 +162,6 @@ class LevelState:
             and self.kernel.vecs[i] == c.centroid
         ):
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
-        params = self.objective.params
         _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i)
         q_union = community_term(
             c.sum_in + 2.0 * kiin + self.self_w[i], c.sum_deg + k, disp, two_m
@@ -227,7 +190,7 @@ class LevelState:
             reach = 0.5 * (d - c.radius) - _BOUND_SLACK * (d + c.radius)
             disp = 0.0
             if reach > 0.0:
-                scaled = reach / self.objective.params.sigma
+                scaled = reach / self.params.sigma
                 disp = scaled * scaled * (1.0 - _BOUND_SLACK)
             q_union = num / (1.0 + disp) / two_m
         else:
@@ -241,11 +204,11 @@ class LevelState:
             return 0.0
         two_m = self.two_m
         k = self.graph.degrees[i]
+        params = self.params
         # dispersion exactly zero means the whole community is co-located,
         # so removal keeps it zero and the plain form applies unchanged
-        if self.objective.kind == "ng" or old.dispersion == 0.0:
+        if params is None or old.dispersion == 0.0:
             return (2.0 * kiin_old - 2.0 * k * (old.sum_deg - k) / two_m) / two_m
-        params = self.objective.params
         reduced = [m for m in old.members if m != i]
         _, disp = self.kernel.stats(reduced, params.sigma, params.agg)
         q_reduced = community_term(
@@ -372,7 +335,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     """
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
-    sn = state.objective.kind == "sn"
+    sn = state.params is not None
     if constrained and not sn:
         raise ValueError("a finite join_constraint_km needs the spatially-near objective")
     if state.two_m == 0:
@@ -460,26 +423,24 @@ def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> Geo
     return assemble_graph(range(p.num_communities), coords, pair_weights, allow_self_loops=True)
 
 
-def _visit_order(n: int, cfg: EngineConfig, level: int) -> list[int]:
-    order = list(range(n))
-    if cfg.node_order == "shuffle":
-        # one deterministic order per (seed, level)
-        random.Random(cfg.seed * 1_000_003 + level).shuffle(order)
-    return order
-
-
-def run_louvain(g: GeoGraph, obj: Objective, cfg: EngineConfig = EngineConfig()) -> Partition:
+def run_louvain(
+    g: GeoGraph, params: SNParams | None = None, cfg: EngineConfig = EngineConfig()
+) -> Partition:
     """Run the full two-phase optimizer; returns a partition of g's nodes.
 
-    Starts from the singleton partition.  Scores reported by callers should
-    be recomputed on the original graph (see :func:`objective_value`); at
-    coarsened levels the spatially-near gain sees meta-node locations only.
+    Starts from the singleton partition; ``params=None`` maximizes plain
+    modularity.  Scores reported by callers should be recomputed on the
+    original graph; at coarsened levels the spatially-near gain sees
+    meta-node locations only.
     """
     node_to_meta = list(range(g.num_nodes))
     level_graph = g
     for level in range(_MAX_LEVELS):
-        order = _visit_order(level_graph.num_nodes, cfg, level)
-        state = LevelState.from_singletons(level_graph, obj, visit_order=order)
+        order = list(range(level_graph.num_nodes))
+        if cfg.seed is not None:
+            # one deterministic order per (seed, level)
+            random.Random(cfg.seed * 1_000_003 + level).shuffle(order)
+        state = LevelState(level_graph, params, visit_order=order)
         moved, _ = local_move_pass(state, cfg)
         if moved == 0:
             break

@@ -8,8 +8,7 @@ Feasible up to n = 12 (4,213,597 partitions).
 from typing import Iterator
 
 from .geograph import GeoGraph
-from .louvain import Objective, objective_value
-from .metrics import Partition
+from .metrics import Partition, SNParams, community_qualities, summed
 
 # Bell numbers B(0)..B(12)
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
@@ -48,7 +47,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition(tuple(a))
 
 
-def oracle_best(g: GeoGraph, obj: Objective) -> tuple[Partition, float]:
+def oracle_best(g: GeoGraph, params: SNParams | None = None) -> tuple[Partition, float]:
     """Arg-max partition and value by exhaustive search; ties keep the first."""
     n = g.num_nodes
     if not 1 <= n <= MAX_ORACLE_NODES:
@@ -59,7 +58,7 @@ def oracle_best(g: GeoGraph, obj: Objective) -> tuple[Partition, float]:
     best_value = -float("inf")
     for a in _rgs(n):
         p = Partition(tuple(a))
-        value = objective_value(g, p, obj)
+        value = summed(community_qualities(g, p, params))
         if value > best_value:
             best_value = value
             best_partition = p

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .geograph import GeoGraph
-from .louvain import EngineConfig, Objective, run_louvain
+from .louvain import EngineConfig, run_louvain
 from .metrics import Partition, SNParams, sn_modularity
 
 
@@ -26,6 +26,8 @@ class SnicConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if math.isfinite(self.engine.join_constraint_km):
+            raise ValueError("engine.join_constraint_km must be inf: SNIC sets the constraint")
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ def partition_max_span(g: GeoGraph, p: Partition, metric: str = "haversine") -> 
 
 def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
     """Run the iterated-constraint heuristic; returns (best partition, trace)."""
-    obj = Objective.sn(cfg.params)
     constraint = math.inf
     entries: list[SnicIteration] = []
     best_partition: Partition | None = None
@@ -80,7 +81,7 @@ def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
     for iteration in range(1, cfg.max_iters + 1):
         engine = replace(cfg.engine, join_constraint_km=constraint)
         started = time.perf_counter()
-        partition = run_louvain(g, obj, engine)
+        partition = run_louvain(g, cfg.params, engine)
         seconds = time.perf_counter() - started
         score = sn_modularity(g, partition, cfg.params)
         span = partition_max_span(g, partition, cfg.params.metric)

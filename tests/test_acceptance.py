@@ -18,7 +18,7 @@ import pytest
 
 from snmod.cli import main
 from snmod.geograph import GeoGraph, load_graph
-from snmod.louvain import EngineConfig, Objective, objective_value, run_louvain
+from snmod.louvain import EngineConfig, run_louvain
 from snmod.metrics import (
     Partition,
     SNParams,
@@ -64,12 +64,12 @@ def sigma_ensemble():
     records = []
     for seed in range(10):
         g, _ = planted_geo_clusters(ensemble_spec(seed))
-        louvain_p = run_louvain(g, Objective.ng())
+        louvain_p = run_louvain(g)
         louvain_ng = ng_modularity(g, louvain_p)
         for sigma in SIGMAS:
             params = SNParams(sigma)
             louvain_sn = sn_modularity(g, louvain_p, params)
-            lsn_p = run_louvain(g, Objective.sn(params))
+            lsn_p = run_louvain(g, params)
             snic_p, trace = run_snic(g, SnicConfig(params=params, max_iters=10))
             records.append(
                 {
@@ -173,21 +173,19 @@ def test_criterion_3_heuristics_vs_oracle():
         n = rng.randint(4, 8)
         g = random_geo_graph(rng, n, edge_p=rng.uniform(0.3, 0.7))
         params = SNParams(10 ** rng.uniform(1.0, 3.5), agg=rng.choice(("max", "sum")))
-        obj_ng = Objective.ng()
-        obj_sn = Objective.sn(params)
-        _, best_ng = oracle_best(g, obj_ng)
-        _, best_sn = oracle_best(g, obj_sn)
-        engine = EngineConfig(node_order="shuffle", seed=case)
+        _, best_ng = oracle_best(g)
+        _, best_sn = oracle_best(g, params)
+        engine = EngineConfig(seed=case)
         checks = [
-            ("louvain", best_ng, objective_value(g, run_louvain(g, obj_ng, engine), obj_ng)),
-            ("louvain-sn", best_sn, objective_value(g, run_louvain(g, obj_sn, engine), obj_sn)),
+            ("louvain", best_ng, ng_modularity(g, run_louvain(g, None, engine))),
+            ("louvain-sn", best_sn, sn_modularity(g, run_louvain(g, params, engine), params)),
             (
                 "snic",
                 best_sn,
-                objective_value(
+                sn_modularity(
                     g,
                     run_snic(g, SnicConfig(params, max_iters=10, engine=engine)).partition,
-                    obj_sn,
+                    params,
                 ),
             ),
         ]
@@ -196,13 +194,13 @@ def test_criterion_3_heuristics_vs_oracle():
                 problems.append(f"case {case}: {name} beat the oracle by {heur - best:.2e}")
 
     bridged = bridged_triangles()
-    if ng_modularity(bridged, run_louvain(bridged, Objective.ng())) != pytest.approx(5 / 14, abs=1e-12):
+    if ng_modularity(bridged, run_louvain(bridged)) != pytest.approx(5 / 14, abs=1e-12):
         problems.append("bridged-triangles fixture not solved to 5/14")
     clusters = colocated_clusters()
     params = SNParams(1.0)
     snic_p, _ = run_snic(clusters, SnicConfig(params))
     for name, p in (
-        ("louvain-sn", run_louvain(clusters, Objective.sn(params))),
+        ("louvain-sn", run_louvain(clusters, params)),
         ("snic", snic_p),
     ):
         if sn_modularity(clusters, p, params) != pytest.approx(5 / 14, abs=1e-12):
@@ -224,12 +222,12 @@ def test_criterion_4_snic_dominates_single_run():
     )
     configs = [
         (SNParams(300.0), EngineConfig()),
-        (SNParams(300.0, agg="sum"), EngineConfig(node_order="shuffle", seed=4)),
-        (SNParams(2000.0), EngineConfig(node_order="shuffle", seed=9)),
+        (SNParams(300.0, agg="sum"), EngineConfig(seed=4)),
+        (SNParams(2000.0), EngineConfig(seed=9)),
         (SNParams(2000.0, agg="sum"), EngineConfig()),
     ]
     for params, engine in configs:
-        single = run_louvain(g, Objective.sn(params), engine)
+        single = run_louvain(g, params, engine)
         single_sn = sn_modularity(g, single, params)
         partition, trace = run_snic(g, SnicConfig(params, max_iters=10, engine=engine))
         snic_sn = sn_modularity(g, partition, params)
@@ -381,7 +379,7 @@ def test_criterion_8_real_data_harness():
         edge_counts.append(m)
         if 1729 <= m <= 2282:
             in_band += 1
-        louvain_p = run_louvain(sample, Objective.ng())
+        louvain_p = run_louvain(sample)
         for sigma in SIGMAS:
             params = SNParams(sigma)
             snic_p, _ = run_snic(sample, SnicConfig(params=params, max_iters=10))
@@ -430,7 +428,7 @@ def test_criterion_9_determinism(tmp_path):
         if blobs[0] != blobs[1]:
             problems.append(f"{algo} partition files differ between runs")
 
-    cfg = SnicConfig(SNParams(500.0), max_iters=5, engine=EngineConfig(node_order="shuffle", seed=2))
+    cfg = SnicConfig(SNParams(500.0), max_iters=5, engine=EngineConfig(seed=2))
     a = run_snic(g, cfg)
     b = run_snic(g, cfg)
     if a.partition != b.partition:

@@ -12,16 +12,21 @@ from snmod.geometry import GeoKernel
 from snmod.louvain import (
     EngineConfig,
     LevelState,
-    Objective,
     aggregate_graph,
     local_move_pass,
     move_gain,
-    objective_value,
     run_louvain,
     _join_verdict,
 )
-from snmod.metrics import Partition, SNParams, ng_modularity, sn_modularity
-from snmod.snic import SnicConfig, run_snic
+from snmod.metrics import (
+    Partition,
+    SNParams,
+    community_qualities,
+    ng_modularity,
+    sn_modularity,
+    summed,
+)
+from snmod.snic import SnicConfig, partition_max_span, run_snic
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
 from conftest import (
@@ -36,31 +41,17 @@ TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 
 
 class TestConfigTypes:
-    def test_objective_validation(self):
-        Objective.ng()
-        Objective.sn(SNParams(1.0))
-        with pytest.raises(ValueError):
-            Objective("sn")
-        with pytest.raises(ValueError):
-            Objective("ng", SNParams(1.0))
-        with pytest.raises(ValueError):
-            Objective("potts")
-
     def test_engine_config_validation(self):
         EngineConfig()
         with pytest.raises(ValueError):
             EngineConfig(join_constraint_km=0.0)
-        with pytest.raises(ValueError):
-            EngineConfig(node_order="spiral")
 
 
 class TestMoveGain:
     def test_ng_bridge_move_hand_value(self, bridged):
         # from {0},{1},{2},{3,4,5}: moving 2 across the bridge changes the
         # objective by 2*(k_in - k_2*sum_deg/2m)/2m = 2*(1 - 3*7/14)/14
-        state = LevelState.from_partition(
-            bridged, Partition.from_assignment([0, 1, 2, 3, 3, 3]), Objective.ng()
-        )
+        state = LevelState(bridged, None, [0, 1, 2, 3, 3, 3])
         target = state.comm[3]
         gain = move_gain(state, 2, target)
         assert gain == pytest.approx(2.0 * (-0.5) / 14.0, abs=1e-12)
@@ -70,8 +61,8 @@ class TestMoveGain:
         for seed in range(20):
             g = random_geo_graph(random.Random(seed), 8)
             p = random_partition(random.Random(seed + 1), 8, max_groups=4)
-            for obj in (Objective.ng(), Objective.sn(SNParams(700.0))):
-                state = LevelState.from_partition(g, p, obj)
+            for params in (None, SNParams(700.0)):
+                state = LevelState(g, params, p.assignment)
                 i = rng.randrange(8)
                 targets = {c for c in state.communities if c != state.comm[i]}
                 if not targets:
@@ -80,29 +71,28 @@ class TestMoveGain:
                 gain = move_gain(state, i, target)
                 moved = list(p.assignment)
                 moved[i] = p.assignment[state.communities[target].members[0]]
-                delta = objective_value(g, Partition.from_assignment(moved), obj) - objective_value(g, p, obj)
+                after = summed(community_qualities(g, Partition.from_assignment(moved), params))
+                delta = after - summed(community_qualities(g, p, params))
                 assert gain == pytest.approx(delta, abs=1e-12)
 
     def test_no_edge_insertion_is_negative(self):
         g = GeoGraph.from_edges(
             [(0, 1), (2, 3)], {i: (0.0, 0.0) for i in range(4)}
         )
-        state = LevelState.from_partition(
-            g, Partition.from_assignment([0, 0, 1, 1]), Objective.ng()
-        )
+        state = LevelState(g, None, [0, 0, 1, 1])
         # node 0 has no edge into {2,3}
         assert move_gain(state, 0, state.comm[2]) < 0
 
     def test_sn_gain_equals_ng_gain_when_colocated(self, bridged):
         p = Partition.from_assignment([0, 1, 2, 3, 3, 3])
-        s_ng = LevelState.from_partition(bridged, p, Objective.ng())
-        s_sn = LevelState.from_partition(bridged, p, Objective.sn(SNParams(2.0)))
+        s_ng = LevelState(bridged, None, p.assignment)
+        s_sn = LevelState(bridged, SNParams(2.0), p.assignment)
         t_ng = s_ng.comm[3]
         t_sn = s_sn.comm[3]
         assert move_gain(s_ng, 2, t_ng) == move_gain(s_sn, 2, t_sn)
 
     def test_errors(self, bridged):
-        state = LevelState.from_singletons(bridged, Objective.ng())
+        state = LevelState(bridged, None)
         with pytest.raises(ValueError):
             move_gain(state, 0, state.comm[0])
         with pytest.raises(ValueError):
@@ -112,13 +102,13 @@ class TestMoveGain:
 class TestLocalMovePass:
     def test_zero_edge_graph_never_moves(self):
         g = GeoGraph.from_edges([], {i: (0.0, 0.0) for i in range(4)}, extra_nodes=range(4))
-        state = LevelState.from_singletons(g, Objective.ng())
+        state = LevelState(g, None)
         moved, state = local_move_pass(state)
         assert moved == 0
         assert state.extract_partition() == Partition.singletons(4)
 
     def test_first_phase_finds_triangles(self, bridged):
-        state = LevelState.from_singletons(bridged, Objective.ng())
+        state = LevelState(bridged, None)
         moved, state = local_move_pass(state)
         assert moved > 0
         assert state.extract_partition() == TRIANGLES
@@ -126,11 +116,11 @@ class TestLocalMovePass:
     def test_join_constraint_blocks_distant_candidates(self):
         # single positive-gain merge across 100 km is vetoed at 50 km
         g = GeoGraph.from_edges([(0, 1)], {0: (0.0, 0.0), 1: (0.0, 0.9)})
-        obj = Objective.sn(SNParams(1e6))
-        state = LevelState.from_singletons(g, obj)
+        params = SNParams(1e6)
+        state = LevelState(g, params)
         moved, _ = local_move_pass(state, EngineConfig(join_constraint_km=50.0))
         assert moved == 0
-        state = LevelState.from_singletons(g, obj)
+        state = LevelState(g, params)
         moved, _ = local_move_pass(state, EngineConfig(join_constraint_km=150.0))
         assert moved > 0
 
@@ -138,24 +128,34 @@ class TestLocalMovePass:
         for seed in range(10):
             rng = random.Random(seed)
             g = random_geo_graph(rng, 12)
-            obj = Objective.sn(SNParams(1000.0))
-            state = LevelState.from_singletons(g, obj)
-            before = objective_value(g, state.extract_partition(), obj)
+            params = SNParams(1000.0)
+            state = LevelState(g, params)
+            before = sn_modularity(g, state.extract_partition(), params)
             _, state = local_move_pass(state)
-            after = objective_value(g, state.extract_partition(), obj)
+            after = sn_modularity(g, state.extract_partition(), params)
             assert after >= before - 1e-12
 
     def test_join_constraint_is_refused_under_plain_modularity(self, bridged):
         cfg = EngineConfig(join_constraint_km=100.0)
         with pytest.raises(ValueError, match="spatially-near"):
-            local_move_pass(LevelState.from_singletons(bridged, Objective.ng()), cfg)
+            local_move_pass(LevelState(bridged, None), cfg)
         with pytest.raises(ValueError, match="spatially-near"):
-            run_louvain(bridged, Objective.ng(), cfg)
+            run_louvain(bridged, None, cfg)
         # an edgeless graph is refused too, before the early return
         g = GeoGraph.from_edges([], {0: (0.0, 0.0)}, extra_nodes=[0])
         with pytest.raises(ValueError, match="spatially-near"):
-            run_louvain(g, Objective.ng(), cfg)
-        assert run_louvain(g, Objective.sn(SNParams(1.0)), cfg) == Partition.singletons(1)
+            run_louvain(g, None, cfg)
+        assert run_louvain(g, SNParams(1.0), cfg) == Partition.singletons(1)
+
+    def test_join_constraint_holds_at_node_resolution_on_level_0_only(self):
+        # level 0 checks a join against every member; coarser levels check it
+        # between meta-node centres, so the final partition may span more
+        g = random_geo_graph(random.Random(2), 30, edge_p=0.15)
+        params = SNParams(2000.0)
+        cfg = EngineConfig(join_constraint_km=2000.0)
+        _, state = local_move_pass(LevelState(g, params), cfg)
+        assert partition_max_span(g, state.extract_partition()) <= 2000.0
+        assert partition_max_span(g, run_louvain(g, params, cfg)) > 2000.0
 
 
 class TestAggregateGraph:
@@ -190,18 +190,18 @@ class TestAggregateGraph:
 
 class TestRunLouvain:
     def test_bridged_reaches_plain_optimum(self, bridged):
-        p = run_louvain(bridged, Objective.ng())
+        p = run_louvain(bridged)
         assert p == TRIANGLES
         assert ng_modularity(bridged, p) == pytest.approx(5 / 14, abs=1e-12)
 
     def test_zero_edge_graph_returns_singletons(self):
         g = GeoGraph.from_edges([], {i: (0.0, 0.0) for i in range(5)}, extra_nodes=range(5))
-        for obj in (Objective.ng(), Objective.sn(SNParams(1.0))):
-            assert run_louvain(g, obj) == Partition.singletons(5)
+        for params in (None, SNParams(1.0)):
+            assert run_louvain(g, params) == Partition.singletons(5)
 
     def test_colocated_clusters_sn_optimum(self, geo_clusters):
         params = SNParams(1.0)
-        p = run_louvain(geo_clusters, Objective.sn(params))
+        p = run_louvain(geo_clusters, params)
         assert p == TRIANGLES
         assert sn_modularity(geo_clusters, p, params) == pytest.approx(5 / 14, abs=1e-12)
 
@@ -210,36 +210,36 @@ class TestRunLouvain:
     def test_identical_coordinates_make_sn_equal_ng(self, seed):
         rng = random.Random(seed)
         g = random_geo_graph(rng, rng.randint(3, 14), colocated=True)
-        for order in ("ascending", "shuffle"):
-            cfg = EngineConfig(node_order=order, seed=seed)
-            p_ng = run_louvain(g, Objective.ng(), cfg)
-            p_sn = run_louvain(g, Objective.sn(SNParams(3.0)), cfg)
+        for order_seed in (None, seed):
+            cfg = EngineConfig(seed=order_seed)
+            p_ng = run_louvain(g, None, cfg)
+            p_sn = run_louvain(g, SNParams(3.0), cfg)
             assert p_ng == p_sn
 
     def test_deterministic_for_fixed_config(self):
         rng = random.Random(11)
         g = random_geo_graph(rng, 20, edge_p=0.2)
-        for cfg in (EngineConfig(), EngineConfig(node_order="shuffle", seed=3)):
-            a = run_louvain(g, Objective.sn(SNParams(200.0)), cfg)
-            b = run_louvain(g, Objective.sn(SNParams(200.0)), cfg)
+        for cfg in (EngineConfig(), EngineConfig(seed=3)):
+            a = run_louvain(g, SNParams(200.0), cfg)
+            b = run_louvain(g, SNParams(200.0), cfg)
             assert a == b
 
-    def test_objective_value_non_decreasing_across_levels(self):
+    def test_sn_modularity_non_decreasing_across_levels(self):
         # coarse check: final partition scores at least the singleton start
         for seed in range(8):
             rng = random.Random(seed)
             g = random_geo_graph(rng, 15, edge_p=0.3)
-            obj = Objective.sn(SNParams(800.0))
-            p = run_louvain(g, obj)
-            assert objective_value(g, p, obj) >= objective_value(
-                g, Partition.singletons(15), obj
+            params = SNParams(800.0)
+            p = run_louvain(g, params)
+            assert sn_modularity(g, p, params) >= sn_modularity(
+                g, Partition.singletons(15), params
             ) - 1e-12
 
     def test_seeded_shuffle_changes_visit_order_only(self):
         rng = random.Random(2)
         g = random_geo_graph(rng, 18, edge_p=0.25)
-        base = run_louvain(g, Objective.ng(), EngineConfig())
-        shuf = run_louvain(g, Objective.ng(), EngineConfig(node_order="shuffle", seed=9))
+        base = run_louvain(g, None, EngineConfig())
+        shuf = run_louvain(g, None, EngineConfig(seed=9))
         # both are valid local optima over the same graph
         assert abs(ng_modularity(g, base) - ng_modularity(g, shuf)) < 1.0
 
@@ -285,7 +285,7 @@ def _insertion_case(seed: int, metric: str, agg: str, shape: str):
     assignment = [0] * size + list(range(1, n - size + 1))
     params = SNParams(rng.choice([0.01, 1.0, 50.0, 1000.0, 20000.0]), agg=agg, metric=metric)
     g = GeoGraph.from_edges(edges, coords, extra_nodes=range(n))
-    state = LevelState.from_partition(g, Partition.from_assignment(assignment), Objective.sn(params))
+    state = LevelState(g, params, assignment)
     return state, i, state.comm[0]
 
 
@@ -326,7 +326,7 @@ class TestBoundThenVerify:
         g, _ = planted_geo_clusters(spec)
         cfg = SnicConfig(
             SNParams(sigma, agg=agg, metric=metric),
-            engine=EngineConfig(node_order="shuffle", seed=4),
+            engine=EngineConfig(seed=4),
         )
         work = {"scans": 0, "checks": 0}
         stats, within_limit = GeoKernel.stats, GeoKernel.within_limit
@@ -368,8 +368,7 @@ def _detect(g, mode: str, params: SNParams, cfg: EngineConfig):
         run = run_snic(g, SnicConfig(params, max_iters=10, engine=cfg))
         trace = [(e.iteration, e.constraint_km, e.sn_modularity, e.span_km) for e in run.trace.entries]
         return run.partition, trace
-    obj = Objective.ng() if mode == "ng" else Objective.sn(params)
-    return run_louvain(g, obj, cfg), None
+    return run_louvain(g, None if mode == "ng" else params, cfg), None
 
 
 class TestStampSkip:
@@ -386,7 +385,7 @@ class TestStampSkip:
         scale = rng.choice([0.1, 1.0, 10.0])
         params = SNParams((1500.0 if metric == "haversine" else 30.0) * scale, agg=agg, metric=metric)
         limit = rng.choice([math.inf, params.sigma]) if mode == "sn" else math.inf
-        cfg = EngineConfig(join_constraint_km=limit, node_order="shuffle", seed=seed)
+        cfg = EngineConfig(join_constraint_km=limit, seed=seed)
         skipping = _detect(g, mode, params, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(louvain, "_unchanged", _no_skip)
@@ -400,7 +399,7 @@ class TestStampSkip:
             spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=4,
         )
         g, _ = planted_geo_clusters(spec)
-        cfg = EngineConfig(node_order="shuffle", seed=4)
+        cfg = EngineConfig(seed=4)
         work = {"visits": 0, "scans": 0}
         stats, neighbor_weights = GeoKernel.stats, LevelState._neighbor_weights
 
@@ -437,7 +436,7 @@ class TestStampSkip:
         # changed; only the stamp on {1, 2} tells v's next visit to run.
         coords = {0: (0.0, 0.0), 1: (1.0, -3.0), 2: (0.0, -3.0), 3: (1.0, 1.0), 4: (0.0, 9.0), 5: (0.0, 9.0)}
         g = GeoGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0), (1, 3, 3.0), (4, 5, 3.0)], coords)
-        obj = Objective.sn(SNParams(1.0, metric="planar"))
+        params = SNParams(1.0, metric="planar")
         start = Partition.from_assignment([0, 1, 1, 2, 3, 3])
         order = [0, 3, 1, 2, 4, 5]
         moves = []
@@ -448,7 +447,7 @@ class TestStampSkip:
             return apply_move(self, i, old_label, new_label, kiin)
 
         monkeypatch.setattr(LevelState, "_apply_move", logged_move)
-        state = LevelState.from_partition(g, start, obj, visit_order=order)
+        state = LevelState(g, params, start.assignment, visit_order=order)
         label_c = state.comm[1]
         assert move_gain(state, 0, label_c) < 0.0
         _, state = local_move_pass(state)
@@ -459,13 +458,13 @@ class TestStampSkip:
         labels_only = lambda communities, labels, clock: all(c in communities for c in labels)
         monkeypatch.setattr(louvain, "_unchanged", labels_only)
         moves.clear()
-        _, state = local_move_pass(LevelState.from_partition(g, start, obj, visit_order=order))
+        _, state = local_move_pass(LevelState(g, params, start.assignment, visit_order=order))
         assert moves == [(3, label_c)]
 
 
 def _assert_caches_fresh(state: LevelState) -> None:
     """Compare every community cache with a recomputation from scratch."""
-    fresh = LevelState.from_partition(state.graph, state.extract_partition(), state.objective)
+    fresh = LevelState(state.graph, state.params, state.extract_partition().assignment)
     by_members = {tuple(c.members): c for c in fresh.communities.values()}
     assert len(by_members) == len(state.communities)
     two_m = state.two_m
@@ -475,7 +474,7 @@ def _assert_caches_fresh(state: LevelState) -> None:
         assert c.sum_in == pytest.approx(f.sum_in, rel=1e-9, abs=1e-12)
         assert c.sum_deg == pytest.approx(f.sum_deg, rel=1e-9)
         assert (c.centroid, c.dispersion, c.radius) == (f.centroid, f.dispersion, f.radius)
-        if state.objective.kind == "sn":
+        if state.params is not None:
             expected = (c.sum_in - c.sum_deg * c.sum_deg / two_m) / (1.0 + f.dispersion) / two_m
             assert c.quality == expected
             assert c.quality == pytest.approx(f.quality, rel=1e-9, abs=1e-15)
@@ -484,14 +483,14 @@ def _assert_caches_fresh(state: LevelState) -> None:
 
 
 @pytest.mark.parametrize(
-    "obj,cfg",
+    "params,cfg",
     [
-        (Objective.sn(SNParams(500.0)), EngineConfig(join_constraint_km=2500.0)),
-        (Objective.ng(), EngineConfig()),
+        (SNParams(500.0), EngineConfig(join_constraint_km=2500.0)),
+        (None, EngineConfig()),
     ],
     ids=["sn-constrained", "ng"],
 )
-def test_incremental_caches_do_not_drift(monkeypatch, obj, cfg):
+def test_incremental_caches_do_not_drift(monkeypatch, params, cfg):
     """After every move pass, at every level, the caches match a rebuild."""
     original = louvain.local_move_pass
     levels = []
@@ -516,5 +515,5 @@ def test_incremental_caches_do_not_drift(monkeypatch, obj, cfg):
     weighted = random_geo_graph(random.Random(3), 60, edge_p=0.08)
     for g in (planted, weighted):
         levels.clear()
-        run_louvain(g, obj, replace(cfg, node_order="shuffle", seed=1))
+        run_louvain(g, params, replace(cfg, seed=1))
         assert len(levels) >= 2

@@ -1,12 +1,27 @@
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER
 from snmod.geograph import load_graph
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def _run_script(name, *args, cwd):
+    """Run a script on this checkout's sources; returns its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
 
 
 def test_brightkite_samples_reload_to_their_samples(tmp_path):
@@ -68,3 +83,53 @@ def test_brightkite_samples_skip_a_sample_that_cannot_reload(tmp_path):
             out_dir / f"sample{seed:02d}_edges.tsv", out_dir / f"sample{seed:02d}_coords.csv"
         )
         assert sample == snowball_sample(full, SampleSpec(20, seed=seed))
+
+
+def test_partition_digest_smoke(tmp_path):
+    lines = _run_script(
+        "partition_digest.py", "--ensemble-graphs", "0", "--random-graphs", "1", cwd=tmp_path
+    )
+    assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
+    # one random graph x 2 settings x 2 aggs, as louvain-sn and as SNIC
+    group_line = r"(\S+)\s+runs=\s*(\d+) cpu_s=\d+\.\d\d"
+    groups = [re.fullmatch(group_line, line).groups() for line in lines[1:3]]
+    assert groups == [("random-sn", "4"), ("random-snic", "4")]
+    assert re.fullmatch(r"digest [0-9a-f]{64}", lines[-1])
+    assert len(lines) == 4
+
+
+def test_sigma_sweep_smoke(tmp_path):
+    out = tmp_path / "out"
+    lines = _run_script(
+        "sigma_sweep.py", "--graphs", "1", "--nodes", "100", "--clusters", "4", "--max-iters", "2",
+        "--out-dir", str(out), cwd=tmp_path,
+    )
+    sweep = (out / "sweep.csv").read_text().splitlines()
+    assert sweep[0] == SWEEP_HEADER
+    assert len(sweep) == 1 + 3 * len(DEFAULT_SIGMAS)
+    improvements = (out / "sweep_improvements.csv").read_text().splitlines()
+    assert improvements[0] == IMPROVEMENT_HEADER
+    assert len(improvements) == 1 + 2 * len(DEFAULT_SIGMAS)
+    traces = sorted(p.name for p in (out / "traces").iterdir())
+    assert traces == sorted(f"trace_synthetic-s0_sigma{s:g}_seed0.csv" for s in DEFAULT_SIGMAS)
+    for name in traces:
+        rows = (out / "traces" / name).read_text().splitlines()
+        assert rows[0] == "iteration,constraint_km,sn_modularity,span_km,seconds"
+        assert 2 <= len(rows) <= 3
+    assert lines[0].split() == ["sigma_km", "median_snic/louvain", "median_louvain-sn/louvain"]
+    assert [float(line.split()[0]) for line in lines[1:-1]] == list(DEFAULT_SIGMAS)
+    assert lines[-1] == f"wrote {out}/sweep.csv ({3 * len(DEFAULT_SIGMAS)} rows)"
+
+
+def test_runtime_scaling_smoke(tmp_path):
+    out = tmp_path / "times.csv"
+    lines = _run_script(
+        "runtime_scaling.py", "--sizes", "100,200", "--reps", "1", "--max-iters", "2",
+        "--out", str(out), cwd=tmp_path,
+    )
+    sizes = [re.fullmatch(r"n=\s*(\d+)  seconds=\d+\.\d{3}", line)[1] for line in lines[:2]]
+    assert sizes == ["100", "200"]
+    assert lines[2].startswith("linear fit: ") and len(lines) == 3
+    rows = out.read_text().splitlines()
+    assert rows[0] == "n,seconds"
+    assert [row.split(",")[0] for row in rows[1:]] == ["100", "200"]

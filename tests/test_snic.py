@@ -5,7 +5,7 @@ import pytest
 
 from snmod.geograph import GeoGraph
 from snmod.geometry import max_pairwise_span_km
-from snmod.louvain import EngineConfig, Objective, run_louvain
+from snmod.louvain import EngineConfig, run_louvain
 from snmod.metrics import Partition, SNParams, sn_modularity
 from snmod.snic import SnicConfig, SnicTrace, partition_max_span, run_snic
 
@@ -18,6 +18,8 @@ TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 def test_config_validation():
     with pytest.raises(ValueError):
         SnicConfig(SNParams(1.0), max_iters=0)
+    with pytest.raises(ValueError):
+        SnicConfig(SNParams(1.0), engine=EngineConfig(join_constraint_km=100.0))
 
 
 class TestPartitionMaxSpan:
@@ -73,16 +75,16 @@ class TestRunSnic:
         g = random_geo_graph(rng, 10, colocated=True)
         partition, trace = run_snic(g, SnicConfig(SNParams(2.0)))
         assert len(trace.entries) == 1
-        assert partition == run_louvain(g, Objective.ng())
+        assert partition == run_louvain(g)
 
     def test_best_of_trace_dominates_single_run(self):
         for seed in range(12):
             rng = random.Random(seed)
             g = random_geo_graph(rng, 14, edge_p=0.3)
             params = SNParams(10 ** rng.uniform(1, 3.5))
-            engine = EngineConfig(node_order="shuffle", seed=seed)
+            engine = EngineConfig(seed=seed)
             partition, trace = run_snic(g, SnicConfig(params, max_iters=8, engine=engine))
-            single = run_louvain(g, Objective.sn(params), engine)
+            single = run_louvain(g, params, engine)
             got = sn_modularity(g, partition, params)
             assert got >= sn_modularity(g, single, params) - 1e-12
             # iteration 1 is exactly the unconstrained run
