@@ -18,7 +18,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .geograph import GeoGraph, GraphDataError, GraphFormatError, _significant, load_graph
+from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, run_louvain
 from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity, summed
@@ -59,17 +59,23 @@ def read_partition_csv(path, g: GeoGraph) -> Partition:
     when its node field is not an integer.
     """
     by_external: dict[int, str] = {}
+    header = True  # whether the next row may be a header
     with open(path, "r", encoding="utf-8") as fh:
-        for pos, (ln, raw) in enumerate(_significant(fh)):
-            parts = raw.strip().split(",")
+        for ln, raw in enumerate(fh, 1):
+            s = raw.strip()
+            if not s or s[0] == "#":
+                continue  # blank or comment line
+            parts = s.split(",")
             if len(parts) != 2:
                 raise GraphFormatError(f"partition line {ln}: expected 'node,community'")
             try:
                 node = int(parts[0])
             except ValueError:
-                if pos == 0:
+                if header:
+                    header = False
                     continue  # header row
                 raise GraphFormatError(f"partition line {ln}: bad node id {parts[0]!r}") from None
+            header = False
             if node in by_external:
                 raise GraphDataError(f"partition line {ln}: duplicate node {node}")
             by_external[node] = parts[1].strip()

@@ -12,8 +12,7 @@ which makes loading fully deterministic.
 
 import math
 import os
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .geometry import GeoKernel, GeoPoint, finish_centroid, unit_vector
 
@@ -346,29 +345,23 @@ def _read(source, parse, *args):
     return parse(source, *args)
 
 
-def _significant(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line without its line break) of each line that
-    is neither blank nor a ``#`` comment."""
-    for ln, raw in enumerate(lines, 1):
-        s = raw.strip()
-        if s and s[0] != "#":
-            yield ln, raw.rstrip("\r\n")
-
-
 def _parse_edges(lines: Iterable[str]) -> dict[tuple[int, int], float]:
     pair_weights: dict[tuple[int, int], float] = {}
-    for ln, raw in _significant(lines):
-        parts = raw.strip().split("\t")
+    for ln, raw in enumerate(lines, 1):
+        s = raw.strip()
+        if not s or s[0] == "#":
+            continue  # blank or comment line
+        parts = s.split("\t")
         if len(parts) not in (2, 3):
             raise GraphFormatError(
-                f"edge line {ln}: expected 'u<TAB>v' or 'u<TAB>v<TAB>w', got {raw!r}"
+                f"edge line {ln}: expected 'u<TAB>v' or 'u<TAB>v<TAB>w', got {_text(raw)!r}"
             )
         try:
             u = int(parts[0])
             v = int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
-            raise GraphFormatError(f"edge line {ln}: cannot parse {raw!r}") from None
+            raise GraphFormatError(f"edge line {ln}: cannot parse {_text(raw)!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"edge line {ln}: negative node id")
         if u == v:
@@ -379,103 +372,123 @@ def _parse_edges(lines: Iterable[str]) -> dict[tuple[int, int], float]:
     return pair_weights
 
 
+def _text(raw: str) -> str:
+    """A line as error messages quote it: without its line break."""
+    return raw.rstrip("\r\n")
+
+
 def _parse_coords(lines: Iterable[str], policy: str) -> dict[int, GeoPoint]:
-    rows = _significant(lines)
-    first = next(rows, None)
-    if first is None:
-        return {}
-    ln, raw = first
-    if "\t" in raw:
-        records = _checkin_records(chain([first], rows))
-    elif "," in raw:
-        records = _csv_records(chain([first], rows))
-    else:
-        raise GraphFormatError(f"coordinate line {ln}: unrecognized format {raw!r}")
-    return _mean_points(records) if policy == "mean" else _last_points(records)
+    """Per-node points from check-in or ``node,lat,lon`` CSV rows, in one loop.
 
+    Blank and ``#`` lines are skipped.  The first remaining line fixes the
+    format: check-in rows when it holds a TAB, CSV when it holds a comma.
+    The first CSV row is a header when its node field is not an integer.
+    Each row is parsed, validated and folded into its node's state where
+    it is read, and only that state is kept:
 
-def _csv_records(rows) -> Iterator[tuple[str, int, tuple]]:
-    """(timestamp, node, (lat, lon)) per ``node,lat,lon`` row; the timestamp is
-    empty, so later rows win under 'last'.  The first row is a header when
-    its node field is not an integer."""
-    for pos, (ln, raw) in enumerate(rows):
-        parts = [p.strip() for p in raw.strip().split(",")]
-        if len(parts) != 3:
-            raise GraphFormatError(
-                f"coordinate line {ln}: expected 'node,lat,lon', got {raw!r}"
-            )
-        try:
-            node = int(parts[0])
-        except ValueError:
-            if pos == 0:
-                continue  # header row
-            raise GraphFormatError(f"coordinate line {ln}: cannot parse {raw!r}") from None
-        try:
-            lat = float(parts[1])
-            lon = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"coordinate line {ln}: cannot parse {raw!r}") from None
-        lon = _check_coord(lat, lon, f"coordinate line {ln}")
-        yield "", node, (lat, lon)
-
-
-def _checkin_records(rows) -> Iterator[tuple[str, int, tuple]]:
-    """(timestamp, node, (lat, lon)) per ``user  timestamp  lat  lon[  place]`` row."""
-    for ln, raw in rows:
-        parts = raw.split("\t")
-        if len(parts) < 4:
-            raise GraphFormatError(
-                f"check-in line {ln}: expected user, timestamp, lat, lon[, place], got {raw!r}"
-            )
-        try:
-            node = int(parts[0])
-            lat = float(parts[2])
-            lon = float(parts[3])
-        except ValueError:
-            raise GraphFormatError(f"check-in line {ln}: cannot parse {raw!r}") from None
-        lon = _check_coord(lat, lon, f"check-in line {ln}")
-        yield parts[1].strip(), node, (lat, lon)
-
-
-def _mean_points(records) -> dict[int, GeoPoint]:
-    """Spherical mean per node, bit-identical to :func:`spherical_centroid`
-    over the node's rows: the running sums start at 0.0 and add in file
-    order, and :func:`finish_centroid` turns them into the centre.  A node's
-    first vector is computed when its second row arrives, so a one-row node
-    (every node of a plain CSV) costs no trigonometry."""
-    acc: dict[int, list] = {}  # node -> [first point, sx, sy, sz, n, first vector, same]
-    for _, node, p in records:
+    - ``'last'``: ``(timestamp, lat, lon)`` of the node's greatest ISO-8601
+      timestamp (they sort chronologically as strings).  A later row wins a
+      tie, so plain CSV rows, which carry an empty timestamp, keep the last.
+    - ``'mean'``: ``[lat, lon, sx, sy, sz, n, v0, same]``: the first point,
+      the unit-vector sums started at 0.0 and added in file order, the row
+      count, the first vector and whether every vector equals it.  The
+      first vector is computed when a second row arrives, so a one-row node
+      (every node of a plain CSV) costs no trigonometry.  Vectors take the
+      steps of :func:`unit_vector`, and :func:`finish_centroid` turns the
+      state into the centre, bit-identical to :func:`spherical_centroid`
+      over the node's rows.
+    """
+    mean = policy == "mean"
+    acc: dict = {}
+    cos = math.cos
+    sin = math.sin
+    radians = math.radians
+    checkins = None  # the format, fixed by the first significant line
+    header = False  # whether the next CSV row may be a header
+    for ln, raw in enumerate(lines, 1):
+        s = raw.strip()
+        if not s or s[0] == "#":
+            continue  # blank or comment line
+        if checkins is None:
+            # a line break holds no TAB or comma, so testing raw tests the
+            # line without its break; a stray end TAB makes a check-in line
+            if "\t" in raw:
+                checkins = True
+            elif "," in raw:
+                checkins = False
+                header = True
+            else:
+                raise GraphFormatError(
+                    f"coordinate line {ln}: unrecognized format {_text(raw)!r}"
+                )
+        if checkins:
+            # split raw, not s: a stray end TAB still makes an empty field
+            parts = raw.split("\t")
+            if len(parts) < 4:
+                raise GraphFormatError(
+                    f"check-in line {ln}: expected user, timestamp, lat, lon[, place], "
+                    f"got {_text(raw)!r}"
+                )
+            try:
+                node = int(parts[0])
+                lat = float(parts[2])
+                lon = float(parts[3])
+            except ValueError:
+                raise GraphFormatError(f"check-in line {ln}: cannot parse {_text(raw)!r}") from None
+            if not (-90.0 <= lat <= 90.0 and -180.0 < lon <= 180.0):
+                lon = _check_coord(lat, lon, f"check-in line {ln}")
+        else:
+            # int() and float() skip the whitespace around a field as strip() does
+            parts = s.split(",")
+            if len(parts) != 3:
+                raise GraphFormatError(
+                    f"coordinate line {ln}: expected 'node,lat,lon', got {_text(raw)!r}"
+                )
+            try:
+                node = int(parts[0])
+            except ValueError:
+                if header:
+                    header = False
+                    continue  # header row
+                raise GraphFormatError(f"coordinate line {ln}: cannot parse {_text(raw)!r}") from None
+            header = False
+            try:
+                lat = float(parts[1])
+                lon = float(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"coordinate line {ln}: cannot parse {_text(raw)!r}") from None
+            if not (-90.0 <= lat <= 90.0 and -180.0 < lon <= 180.0):
+                lon = _check_coord(lat, lon, f"coordinate line {ln}")
         a = acc.get(node)
-        if a is None:
-            acc[node] = [p, 0.0, 0.0, 0.0, 1, None, True]
-            continue
-        if a[5] is None:
-            a[5] = v0 = unit_vector(a[0])
-            a[1] += v0[0]
-            a[2] += v0[1]
-            a[3] += v0[2]
-        v = unit_vector(p)
-        if a[6] and v != a[5]:
-            a[6] = False
-        a[1] += v[0]
-        a[2] += v[1]
-        a[3] += v[2]
-        a[4] += 1
-    return {
-        node: finish_centroid(a[0], a[1], a[2], a[3], a[4], a[6])
-        for node, a in acc.items()
-    }
-
-
-def _last_points(records) -> dict[int, GeoPoint]:
-    """Most recent point per node: the greatest ISO-8601 timestamp (they sort
-    chronologically as strings), the later row on a tie."""
-    best: dict[int, tuple] = {}
-    for ts, node, p in records:
-        b = best.get(node)
-        if b is None or ts >= b[0]:
-            best[node] = (ts, p)
-    return {node: GeoPoint(*p) for node, (_, p) in best.items()}
+        if not mean:
+            ts = parts[1].strip() if checkins else ""
+            if a is None or ts >= a[0]:
+                acc[node] = (ts, lat, lon)
+        elif a is None:
+            acc[node] = [lat, lon, 0.0, 0.0, 0.0, 1, None, True]
+        else:
+            v0 = a[6]
+            if v0 is None:
+                a[6] = v0 = unit_vector(a)
+                a[2] += v0[0]
+                a[3] += v0[1]
+                a[4] += v0[2]
+            phi = radians(lat)
+            lam = radians(lon)
+            c = cos(phi)
+            x = c * cos(lam)
+            y = c * sin(lam)
+            z = sin(phi)
+            if a[7] and (x != v0[0] or y != v0[1] or z != v0[2]):
+                a[7] = False
+            a[2] += x
+            a[3] += y
+            a[4] += z
+            a[5] += 1
+    if mean:
+        # a state's first two items are its first point
+        return {node: finish_centroid(a, a[2], a[3], a[4], a[5], a[7]) for node, a in acc.items()}
+    return {node: GeoPoint(a[1], a[2]) for node, a in acc.items()}
 
 
 def _check_coord(lat: float, lon: float, where: str) -> float:

@@ -49,7 +49,7 @@ def planar_centroid(points: Sequence) -> GeoPoint:
 
 def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
     """Maximum distance over all unordered point pairs; 0 for fewer than two."""
-    return GeoKernel(points, metric).span(range(len(points)))
+    return GeoKernel(points, metric).max_span((range(len(points)),))
 
 
 def unit_vector(p) -> tuple[float, float, float]:
@@ -135,6 +135,19 @@ def _sq_chord(a, b) -> float:
 def _arc_km(c2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(c2) * 0.5))
 
+
+# Widening of the triangle bound (r_a + r_b)² that ends a span scan.  The
+# rounded chord of a pair and the rounded radii each stay within a few
+# relative 2^-53 of their exact values (every input is a stored vector, so
+# the differences are exact up to one rounding), and the square roots, sum
+# and square add a few more; 1e-9 covers them many times over.  Relative
+# bounds fail only where squares underflow (chords below about 1e-154):
+# there each rounding errs by up to 2^-1075 absolute, which moves a radius
+# by at most about 3e-162 and a bound by far less than _SPAN_FLOOR.  So a
+# widened bound still holds for the rounded chord, and a scan never stops
+# while its best squared chord is below _SPAN_FLOOR.
+_SPAN_WIDEN = 1.0 + 1e-9
+_SPAN_FLOOR = 1e-300
 
 # Squared chord -> distance, per metric.  Both maps are monotone, so the
 # largest distance is the largest chord's.
@@ -228,17 +241,59 @@ class GeoKernel:
 
     # -- spans and join checks -----------------------------------------------
 
-    def span(self, members: Sequence[int]) -> float:
-        """Largest pairwise distance among members; 0 for fewer than two.
-
-        Every pair is scanned, so a span costs O(|c|²) chords.
-        """
+    def max_span(self, member_sets: Iterable[Sequence[int]]) -> float:
+        """Largest pairwise distance within any one member set; 0 for none."""
         best = 0.0
-        for a in range(len(members) - 1):
-            c2 = self._max_chord2(self.vecs[members[a]], members[a + 1 :])
-            if c2 > best:
-                best = c2
+        for members in member_sets:
+            best = self._span_chord2(members, best)
         return self._km(best)
+
+    def _span_chord2(self, members: Sequence[int], best: float) -> float:
+        """Largest squared chord between two members, or ``best`` when none
+        exceeds it.
+
+        Members are ranked by their distance r to the plain mean c of their
+        vectors, farthest first.  Since |a - b| <= r_a + r_b, a pair whose
+        widened bound (r_a + r_b)² cannot beat ``best`` is skipped; so are
+        the rest of its row, whose radii are smaller, and, when it is a
+        row's first pair, every later row.  The pairs left compute the same
+        chords as an all-pairs scan, so the result is bit-identical; spread
+        sets scan few pairs, while a set whose members are all about equally
+        far from c still scans all of them.
+        """
+        vecs = self.vecs
+        pts = [vecs[i] for i in members]
+        n = len(pts)
+        if n < 2 or all(v == pts[0] for v in pts):
+            return best
+        sx = sy = sz = 0.0
+        for x, y, z in pts:
+            sx += x
+            sy += y
+            sz += z
+        c = (sx / n, sy / n, sz / n)
+        radii = [math.sqrt(_sq_chord(v, c)) for v in pts]
+        r = 2.0 * max(radii)  # bounds every pair's r_a + r_b
+        if r * r * _SPAN_WIDEN + _SPAN_FLOOR <= best:
+            return best
+        order = sorted(range(n), key=radii.__getitem__, reverse=True)
+        rs = [radii[k] for k in order]
+        vs = [pts[k] for k in order]
+        for a in range(n - 1):
+            ra = rs[a]
+            va = vs[a]
+            for b in range(a + 1, n):
+                r = ra + rs[b]
+                if r * r * _SPAN_WIDEN + _SPAN_FLOOR <= best:
+                    break
+                c2 = _sq_chord(va, vs[b])
+                if c2 > best:
+                    best = c2
+            else:
+                continue
+            if b == a + 1:
+                break
+        return best
 
     def within_limit(self, members: Sequence[int], i: int, limit_km: float) -> bool:
         """True when every member lies within ``limit_km`` of node ``i``."""

@@ -63,13 +63,7 @@ def partition_max_span(g: GeoGraph, p: Partition, metric: str = "haversine") -> 
     """Largest pairwise member distance over all communities, at node resolution."""
     if len(p.assignment) != g.num_nodes:
         raise ValueError("partition does not match the graph")
-    kernel = g.kernel(metric)
-    best = 0.0
-    for members in p.communities:
-        span = kernel.span(members)
-        if span > best:
-            best = span
-    return best
+    return g.kernel(metric).max_span(p.communities)
 
 
 def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:

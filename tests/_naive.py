@@ -176,3 +176,29 @@ def naive_span(points, metric="haversine"):
         for j in range(i + 1, len(pts)):
             best = max(best, dist(pts[i], pts[j]))
     return best
+
+
+def naive_chord_span(points, metric="haversine"):
+    """Largest pairwise distance by the chord route, from an all-pairs scan.
+
+    Each point becomes a 3-D vector (the unit vector on the sphere,
+    ``(x, y, 0)`` on the plane), every pair's squared chord is formed, and
+    the largest maps to a distance: ``2R asin(chord / 2)`` on the sphere,
+    ``chord`` on the plane.  It rounds as the package's kernel does, so it
+    must agree to the bit, where ``naive_span`` agrees only within rounding.
+    """
+    vecs = []
+    for lat, lon in points:
+        if metric == "planar":
+            vecs.append((float(lat), float(lon), 0.0))
+        else:
+            phi, lam = math.radians(lat), math.radians(lon)
+            vecs.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
+    best = 0.0
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            c2 = sum((a - b) * (a - b) for a, b in zip(vecs[i], vecs[j]))
+            best = max(best, c2)
+    if metric == "planar":
+        return math.sqrt(best)
+    return 2.0 * RADIUS_KM * math.asin(min(1.0, math.sqrt(best) * 0.5))

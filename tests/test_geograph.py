@@ -361,3 +361,57 @@ def test_edge_errors_come_before_coordinate_errors():
         load("0\t1\nbroken\n", "0,0,0\n1,oops,0\n")
     with pytest.raises(GraphDataError, match="^edge line 1: self-loop"):
         load("1\t1\n", "0\t2010\t95\t0\n")
+
+
+@pytest.mark.parametrize("first", ["1,2.0,3.0\t", "\t1,2.0,3.0"])
+def test_a_stray_tab_on_the_first_csv_line_makes_a_check_in_line(first):
+    coords = f"# node,lat,lon\n\n{first}\n2,4.0,5.0\n"
+    want = f"check-in line 3: expected user, timestamp, lat, lon[, place], got {first!r}"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(want)}$"):
+        load("1\t2\n", coords)
+
+
+def test_a_stray_tab_on_a_later_csv_line_is_stripped_with_the_row():
+    g = load("1\t2\n", "1,2.0,3.0\n\t2,4.0,5.0\t\n")
+    assert g.nodes[1] == (4.0, 5.0)
+
+
+GENERATOR_EDGES = "0\t1\n1\t2\n"
+GENERATOR_COORDS = {
+    "checkins": "0\t2010-01-02T00:00:00Z\t1.5\t2.5\tp\n"
+                "1\t2010-01-01T00:00:00Z\t3.5\t-180\n"
+                "0\t2010-01-01T00:00:00Z\t1.0\t2.0\tp\n"
+                "2\t2010-01-01T00:00:00Z\t5.5\t6.5\n"
+                "0\t2010-01-02T00:00:00Z\t1.25\t2.25\tp\n",
+    "csv": "node,lat,lon\n0,1.5,2.5\n1,3.5,-180\n0,1.0,2.0\n2,5.5,6.5\n0,1.25,2.25\n",
+}
+
+
+def _one_shot(text):
+    """The text's lines from a generator, which can be iterated only once."""
+    return (line for line in text.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("fmt", sorted(GENERATOR_COORDS))
+@pytest.mark.parametrize("policy", ["mean", "last"])
+def test_a_one_shot_generator_loads_as_a_file_does(fmt, policy):
+    coords = "\n# comment\n   \n" + GENERATOR_COORDS[fmt]
+    want = load(GENERATOR_EDGES, coords, coord_policy=policy)
+    got = load_graph(_one_shot(GENERATOR_EDGES), _one_shot(coords), coord_policy=policy)
+    assert got == want
+    assert _bits(got) == _bits(want)
+    assert got.nodes[1] == (3.5, 180.0)
+
+
+@pytest.mark.parametrize("fmt", sorted(GENERATOR_COORDS))
+@pytest.mark.parametrize("policy", ["mean", "last"])
+def test_a_one_shot_generator_reports_the_file_error_line(fmt, policy):
+    coords = "\n# comment\n   \n" + GENERATOR_COORDS[fmt].replace("5.5", "95.5")
+    label = "check-in" if fmt == "checkins" else "coordinate"
+    errors = []
+    for source in (io.StringIO(coords), _one_shot(coords)):
+        with pytest.raises(GraphDataError) as err:
+            load_graph(io.StringIO(GENERATOR_EDGES), source, coord_policy=policy)
+        errors.append(str(err.value))
+    want = f"{label} line {7 if fmt == 'checkins' else 8}: latitude 95.5 out of [-90, 90]"
+    assert errors == [want, want]

@@ -20,7 +20,14 @@ from snmod.geometry import (
 )
 from snmod.metrics import SNParams
 
-from _naive import naive_center, naive_dispersion, naive_haversine, naive_planar, naive_span
+from _naive import (
+    naive_center,
+    naive_chord_span,
+    naive_dispersion,
+    naive_haversine,
+    naive_planar,
+    naive_span,
+)
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-179.9, max_value=180.0, allow_nan=False)
@@ -111,6 +118,40 @@ def test_span_vectorized_path_matches_scan():
     pts = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(60)]
     for metric in METRIC_NAMES:
         assert max_pairwise_span_km(pts, metric) == pytest.approx(naive_span(pts, metric), abs=1e-9)
+
+
+def _antipode(p):
+    return GeoPoint(-p.lat, p.lon - 180.0 if p.lon > 0.0 else p.lon + 180.0)
+
+
+# sets where the bounded span scan could go wrong: co-located members (no
+# pair beats a zero best), antipodal pairs (the mean vector is near zero),
+# clusters with far outliers (most pairs are skipped), points on a circle
+# around their mean (none are), small grids (ties in radius and chord) and
+# subnormal offsets (squares underflow)
+span_sets = st.one_of(
+    st.lists(points, min_size=2, max_size=12),
+    st.builds(lambda p, k: [p] * k, points, st.integers(min_value=2, max_value=6)),
+    st.lists(points, min_size=1, max_size=4).map(lambda ps: ps + [_antipode(p) for p in ps]),
+    st.builds(
+        lambda p, k, far: [GeoPoint(p.lat, p.lon + 1e-9 * j) for j in range(k)] + far,
+        points, st.integers(min_value=2, max_value=30), st.lists(points, max_size=3),
+    ),
+    st.builds(
+        lambda k, r: [GeoPoint(r * math.cos(2 * math.pi * j / k), r * math.sin(2 * math.pi * j / k))
+                      for j in range(k)],
+        st.integers(min_value=2, max_value=24), st.sampled_from([1e-6, 1.0, 45.0]),
+    ),
+    st.lists(st.builds(GeoPoint, st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=10),
+    st.lists(st.sampled_from([GeoPoint(0.0, 0.0), GeoPoint(0.0, 5e-324), GeoPoint(-5e-324, 0.0),
+                              GeoPoint(1e-160, 0.0), GeoPoint(0.0, -1e-155)]), min_size=2, max_size=6),
+)
+
+
+@given(pts=span_sets, metric=st.sampled_from(METRIC_NAMES))
+@settings(max_examples=400, deadline=None)
+def test_span_equals_the_all_pairs_chord_scan_bit_for_bit(pts, metric):
+    assert max_pairwise_span_km(pts, metric) == naive_chord_span(pts, metric)
 
 
 def test_planar_metric():

@@ -133,3 +133,26 @@ def test_runtime_scaling_smoke(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "n,seconds"
     assert [row.split(",")[0] for row in rows[1:]] == ["100", "200"]
+
+
+def test_load_digest_smoke(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("0\t1\n1\t2\t2.5\n")
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text(
+        "0\t2010-01-02T00:00:00Z\t1.5\t2.5\n0\t2010-01-01T00:00:00Z\t1.0\t-0.0\n"
+        "1\t2010-01-01T00:00:00Z\t3.5\t4.5\n2\t2010-01-01T00:00:00Z\t5.5\t6.5\n"
+    )
+    # node 0's latest check-in as plain CSV: the same graph under 'last'
+    csv = tmp_path / "coords.csv"
+    csv.write_text("node,lat,lon\n0,1.5,2.5\n1,3.5,4.5\n2,5.5,6.5\n")
+
+    def digest(coords, *policy):
+        lines = _run_script("load_digest.py", str(edges), str(coords), *policy, cwd=tmp_path)
+        assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
+        assert lines[1] == "nodes 3 edges 2"
+        return re.fullmatch(r"digest ([0-9a-f]{64})", lines[2])[1]
+
+    last = digest(checkins, "--policy", "last")
+    assert digest(csv) == last
+    assert digest(checkins) == digest(checkins, "--policy", "mean") != last

@@ -10,7 +10,7 @@ from snmod.metrics import Partition, SNParams, sn_modularity
 from snmod.snic import SnicConfig, SnicTrace, partition_max_span, run_snic
 
 from conftest import colocated_clusters, random_geo_graph, random_partition
-from _naive import naive_span
+from _naive import naive_chord_span, naive_span
 
 TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 
@@ -52,6 +52,18 @@ class TestPartitionMaxSpan:
         want = max_pairwise_span_km(pts)
         assert partition_max_span(g, p) == want
         assert want == pytest.approx(naive_span(pts), abs=1e-9)
+
+    def test_equals_the_all_pairs_chord_scan_bit_for_bit(self):
+        rng = random.Random(6)
+        for metric in ("haversine", "planar"):
+            for _ in range(20):
+                g = random_geo_graph(rng, rng.randint(2, 80))
+                p = random_partition(rng, g.num_nodes, max_groups=3)
+                want = max(
+                    naive_chord_span([(g.nodes[i].lat, g.nodes[i].lon) for i in members], metric)
+                    for members in p.communities
+                )
+                assert partition_max_span(g, p, metric) == want
 
     def test_mismatch_raises(self, geo_clusters):
         with pytest.raises(ValueError):
