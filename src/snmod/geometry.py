@@ -7,11 +7,13 @@ tests where exact hand-computable distance values are convenient.
 :class:`GeoKernel` stores every point once as a 3-D vector: the unit vector
 on the sphere, ``(x, y, 0.0)`` on the plane.  Every centre, distance, join
 check and span it computes then goes through one path, the squared chord
-(Euclidean distance) between two vectors.  Only three things depend on the
-metric: building the vectors, the centre (the mean vector, renormalized on
-the sphere) and the monotone map from squared chord to distance
-(``2R asin(chord / 2)`` on the sphere, ``chord`` on the plane).  The module
-is plain Python and needs no third-party package.
+(Euclidean distance) between two vectors.  Every centre, co-location test
+and span mean comes from one summing pass over a member list, which adds
+the vectors in member order and notes whether they are all equal.  Only
+three things depend on the metric: building the vectors, the centre (the
+mean vector, renormalized on the sphere) and the monotone map from squared
+chord to distance (``2R asin(chord / 2)`` on the sphere, ``chord`` on the
+plane).  The module is plain Python and needs no third-party package.
 """
 
 import math
@@ -38,13 +40,13 @@ class GeoPoint(NamedTuple):
 def spherical_centroid(points: Sequence) -> GeoPoint:
     """Normalized 3-D mean of the input points; the first point when they are
     identical or their mean vector is degenerate (see :func:`finish_centroid`)."""
-    return _centroid(points[0] if points else None, map(unit_vector, points), "haversine")
+    return GeoKernel(points, "haversine").centroid(range(len(points)))
 
 
 def planar_centroid(points: Sequence) -> GeoPoint:
     """Arithmetic mean of plane coordinates; the first point when they are
     identical (see :func:`finish_centroid`)."""
-    return _centroid(points[0] if points else None, map(_plane_vector, points), "planar")
+    return GeoKernel(points, "planar").centroid(range(len(points)))
 
 
 def max_pairwise_span_km(points: Sequence, metric: str = "haversine") -> float:
@@ -73,31 +75,6 @@ def _mean_vector(sx: float, sy: float, sz: float, n: int, metric: str):
     if norm < _DEGENERATE_NORM * n:
         return None
     return (sx / norm, sy / norm, sz / norm)
-
-
-def _centroid(first, vecs: Iterable, metric: str) -> GeoPoint:
-    """Centre of a point set as a location: the one summing loop.
-
-    ``first`` is the first point (None for no points) and ``vecs`` yields
-    every point's vector in order, lazily, so no vector list is built.  The
-    vectors are summed one by one, in order, and :func:`finish_centroid`
-    turns the sums into the centre.
-    """
-    sx = sy = sz = 0.0
-    n = 0
-    v0 = None
-    same = True
-    for v in vecs:
-        if v0 is None:
-            v0 = v
-        elif same and v != v0:
-            same = False
-        x, y, z = v
-        sx += x
-        sy += y
-        sz += z
-        n += 1
-    return finish_centroid(first, sx, sy, sz, n, same, metric)
 
 
 def finish_centroid(
@@ -161,10 +138,11 @@ class GeoKernel:
     stored as a 3-D vector (``vecs``), and every distance is mapped from the
     squared chord between two vectors, so the metric matters only when the
     vectors are built, when a centre is taken and when a chord becomes a
-    distance.  Member sets are python lists of node indices, and every
-    per-set statistic is one O(|c|) pass over them, the same at every set
-    size: vectors are summed one by one in member order, so :meth:`stats`
-    and :meth:`centroid` take a set's centre from the same sums.
+    distance.  Member sets are python lists of node indices.  One summing
+    pass (:meth:`_sums`) walks a set once for its in-order vector sums, its
+    size and whether it is co-located; :meth:`stats`, :meth:`centroid` and
+    the span scan all read it, so they take a set's centre from the same
+    sums.  Dispersions and spans then make one distance pass.
     """
 
     def __init__(self, points: Sequence, metric: str = "haversine"):
@@ -177,10 +155,31 @@ class GeoKernel:
 
     # -- centres and chords --------------------------------------------------
 
+    def _sums(self, members: Sequence[int]) -> tuple[float, float, float, int, bool]:
+        """The one summing pass: ``(sx, sy, sz, n, same)`` for a member list.
+
+        The member vectors are summed left to right, each sum started from
+        0.0; ``n`` counts them and ``same`` says whether they are all equal
+        (true for none).
+        """
+        vecs = self.vecs
+        v0 = vecs[members[0]] if members else None
+        same = True
+        sx = sy = sz = 0.0
+        for i in members:
+            v = vecs[i]
+            if same and v != v0:
+                same = False
+            x, y, z = v
+            sx += x
+            sy += y
+            sz += z
+        return sx, sy, sz, len(members), same
+
     def centroid(self, members: Sequence[int]) -> GeoPoint:
         """Centre of the members as a location, for meta-nodes and reports."""
         first = self.points[members[0]] if members else None
-        return _centroid(first, map(self.vecs.__getitem__, members), self.metric)
+        return finish_centroid(first, *self._sums(members), self.metric)
 
     def _max_chord2(self, v, members) -> float:
         """Largest squared chord from vector ``v`` to any member; 0 for none."""
@@ -209,26 +208,16 @@ class GeoKernel:
         """
         if agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {agg!r}")
-        total = len(members) + (plus is not None)
-        if total == 0:
-            raise ValueError("empty community")
-        if not members or (plus is not None and plus < members[0]):
-            first = plus
-        else:
-            first = members[0]
-        vecs = self.vecs
-        v0 = vecs[first]
         ids = members if plus is None else [*members, plus]
-        if all(vecs[i] == v0 for i in ids):
+        if not ids:
+            raise ValueError("empty community")
+        vecs = self.vecs
+        v0 = vecs[ids[0] if plus is None else min(ids[0], plus)]  # the lowest id's
+        sx, sy, sz, n, same = self._sums(ids)
+        if same:
             # exact co-location keeps zero dispersion exactly zero
             return v0, 0.0
-        sx = sy = sz = 0.0
-        for i in ids:
-            x, y, z = vecs[i]
-            sx += x
-            sy += y
-            sz += z
-        centre = _mean_vector(sx, sy, sz, total, self.metric) or v0
+        centre = _mean_vector(sx, sy, sz, n, self.metric) or v0
         km = self._km
         if agg == "max":
             r = km(self._max_chord2(centre, ids)) / sigma
@@ -261,16 +250,11 @@ class GeoKernel:
         sets scan few pairs, while a set whose members are all about equally
         far from c still scans all of them.
         """
+        sx, sy, sz, n, same = self._sums(members)
+        if n < 2 or same:
+            return best
         vecs = self.vecs
         pts = [vecs[i] for i in members]
-        n = len(pts)
-        if n < 2 or all(v == pts[0] for v in pts):
-            return best
-        sx = sy = sz = 0.0
-        for x, y, z in pts:
-            sx += x
-            sy += y
-            sz += z
         c = (sx / n, sy / n, sz / n)
         radii = [math.sqrt(_sq_chord(v, c)) for v in pts]
         r = 2.0 * max(radii)  # bounds every pair's r_a + r_b

@@ -9,6 +9,7 @@ pairs, so each undirected edge counts twice and a self-loop's stored weight
 counts once; this makes the single-community value exactly zero.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -163,14 +164,25 @@ def sn_modularity(g: GeoGraph, p: Partition, params: SNParams) -> float:
     return summed(community_qualities(g, p, params))
 
 
-def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> float:
-    """Quality contribution of one community; these sum to sn_modularity."""
-    members = sorted(int(i) for i in members)
-    if not members:
+def _member_list(g: GeoGraph, members: Iterable[int]) -> list[int]:
+    """The members sorted; ValueError unless they are distinct integer node ids of g."""
+    try:
+        ids = sorted(map(operator.index, members))
+    except TypeError:
+        raise ValueError("community members must be integer node ids") from None
+    if not ids:
         raise ValueError("empty community")
-    for i in members:
+    for i in (ids[0], ids[-1]):
         if not 0 <= i < g.num_nodes:
             raise ValueError(f"unknown internal node id {i}")
+    if len(set(ids)) != len(ids):
+        raise ValueError("repeated community member")
+    return ids
+
+
+def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> float:
+    """Quality contribution of one community; these sum to sn_modularity."""
+    members = _member_list(g, members)
     if g.two_m == 0:
         return 0.0
     return _quality(g, members, params, g.kernel(params.metric))
@@ -178,9 +190,7 @@ def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> 
 
 def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> CommunityStats:
     """Numerator pieces, center, and dispersion for one community."""
-    members = sorted(int(i) for i in members)
-    if not members:
-        raise ValueError("empty community")
+    members = _member_list(g, members)
     sum_in, sum_deg = _community_sums(g, members)
     kernel = g.kernel(params.metric)
     _, dispersion = kernel.stats(members, params.sigma, params.agg)

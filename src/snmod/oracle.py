@@ -49,15 +49,9 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def oracle_best(g: GeoGraph, params: SNParams | None = None) -> tuple[Partition, float]:
     """Arg-max partition and value by exhaustive search; ties keep the first."""
-    n = g.num_nodes
-    if not 1 <= n <= MAX_ORACLE_NODES:
-        raise ValueError(
-            f"oracle handles 1..{MAX_ORACLE_NODES} nodes, graph has {n}"
-        )
     best_partition = None
     best_value = -float("inf")
-    for a in _rgs(n):
-        p = Partition(tuple(a))
+    for p in enumerate_partitions(g.num_nodes):
         value = summed(community_qualities(g, p, params))
         if value > best_value:
             best_value = value

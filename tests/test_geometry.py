@@ -101,6 +101,36 @@ def test_centroid_matches_independent_formula(pts):
     assert got.lon == pytest.approx(want[1], abs=1e-9)
 
 
+def _bits(p):
+    return tuple(float(x).hex() for x in p)
+
+
+def _antipodal_pair(p):
+    return [p, GeoPoint(-p.lat, p.lon - 180.0 if p.lon > 0 else p.lon + 180.0)]
+
+
+signed_zero_lon = st.tuples(lats, st.sampled_from([0.0, -0.0])).map(lambda t: GeoPoint(*t))
+centre_sets = st.one_of(
+    st.lists(points, min_size=1, max_size=8),
+    st.builds(lambda p, k: [p] * k, points, st.integers(min_value=1, max_value=6)),
+    points.map(_antipodal_pair),
+    st.lists(signed_zero_lon, min_size=1, max_size=4),
+)
+
+
+@given(pts=centre_sets)
+@settings(max_examples=300)
+def test_centroid_equals_independent_formula_bit_for_bit(pts):
+    assert _bits(spherical_centroid(pts)) == _bits(naive_center(pts))
+
+
+@given(pts=centre_sets, extra=st.lists(points, max_size=3), metric=st.sampled_from(METRIC_NAMES))
+def test_kernel_centroid_equals_module_centroid(pts, extra, metric):
+    centroid = spherical_centroid if metric == "haversine" else planar_centroid
+    got = GeoKernel(pts + extra, metric).centroid(range(len(pts)))
+    assert _bits(got) == _bits(centroid(pts))
+
+
 def test_span_edge_cases():
     assert max_pairwise_span_km([]) == 0.0
     assert max_pairwise_span_km([GeoPoint(10, 10)]) == 0.0
@@ -243,6 +273,16 @@ class TestGeoKernel:
                 assert kernel.centroid(members) == shared
                 assert centroid([pts[i] for i in members]) == shared
                 assert disp == 0.0
+
+    def test_colocated_set_returns_the_lowest_ids_vector(self):
+        # (1, -0.0, 0) == (1, 0.0, 0): which vector comes back decides the bits
+        kernel = GeoKernel([GeoPoint(0.0, -0.0), GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.0)])
+        assert kernel.vecs[0] == kernel.vecs[1]
+        for members, plus in (([0, 1], None), ([1, 2], 0), ([], 0), ([0], 2)):
+            centre, disp = kernel.stats(members, 1.0, "sum", plus)
+            assert centre is kernel.vecs[0] and disp == 0.0
+        centre, _ = kernel.stats([1], 1.0, "max", 2)
+        assert centre is kernel.vecs[1]
 
     def test_empty_raises(self):
         kernel = GeoKernel([GeoPoint(0, 0)])

@@ -250,3 +250,38 @@ def test_zero_edge_graph_scores_zero():
     p = Partition.singletons(2)
     assert ng_modularity(g, p) == 0.0
     assert sn_modularity(g, p, SNParams(1.0)) == 0.0
+
+
+class TestMemberListChecks:
+    """community_quality and community_stats take only distinct in-range ids."""
+
+    def path(self):
+        return GeoGraph.from_edges([(0, 1), (1, 2)], {i: (0.0, 0.1 * i) for i in range(3)})
+
+    @pytest.mark.parametrize("fn", [community_quality, community_stats])
+    def test_negative_id_is_rejected_not_wrapped(self, fn):
+        with pytest.raises(ValueError):
+            fn(self.path(), [-1, 0], SNParams(100.0))
+
+    @pytest.mark.parametrize("fn", [community_quality, community_stats])
+    def test_out_of_range_id_raises_value_error(self, fn):
+        with pytest.raises(ValueError):
+            fn(self.path(), [99], SNParams(100.0))
+
+    @pytest.mark.parametrize("fn", [community_quality, community_stats])
+    def test_repeated_member_is_rejected(self, fn):
+        g, params = self.path(), SNParams(100.0)
+        assert community_quality(g, [0], params) == -0.0625
+        with pytest.raises(ValueError):
+            fn(g, [0, 0], params)
+
+    @pytest.mark.parametrize("fn", [community_quality, community_stats])
+    def test_non_integer_and_empty_are_rejected(self, fn):
+        for members in ([0.0, 1.0], ["0"], []):
+            with pytest.raises(ValueError):
+                fn(self.path(), members, SNParams(100.0))
+
+    def test_members_are_read_in_sorted_order(self):
+        g, params = self.path(), SNParams(100.0)
+        assert community_stats(g, (2, 0, 1), params) == community_stats(g, [0, 1, 2], params)
+        assert community_quality(g, {2, 1}, params) == community_quality(g, [1, 2], params)

@@ -75,3 +75,10 @@ def test_heuristics_never_beat_oracle_spot():
         _, best = oracle_best(g)
         heur = ng_modularity(g, run_louvain(g))
         assert heur <= best + 1e-9
+
+
+def test_oracle_best_shares_the_enumeration_range_check():
+    for n in (0, 13):
+        g = random_geo_graph(random.Random(n), n, edge_p=0.3)
+        with pytest.raises(ValueError):
+            oracle_best(g)
