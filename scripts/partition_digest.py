@@ -7,16 +7,18 @@ constraint, score, span) is the same.  The run set, each group timed in
 process CPU seconds:
 
 - ``ensemble-snic``: SNIC (max_iters 10) on acceptance-ensemble graphs
-  (``tests/test_acceptance.py``) 0-5 x sigma {300, 5000} km x agg {max, sum};
+  (``tests/_graphs.py``) 0-5 x sigma {300, 5000} km x agg {max, sum};
 - ``ensemble-ng``: plain Louvain on the same graphs;
 - ``random-sn`` / ``random-snic``: 20 random 60-node graphs
-  (``tests/conftest.py``) x {haversine at 1500 km, planar at 30} x
+  (``tests/_graphs.py``) x {haversine at 1500 km, planar at 30} x
   {max, sum}, as louvain-sn constrained to the same distance as sigma,
   and as SNIC.
 
 Every run uses the CLI's shuffled node order with the graph's seed.  The
 first line names the snmod package that ran, so a comparison can confirm
-it measured each checkout's own sources.  With ``--verbose`` each run's own
+it measured each checkout's own sources.  It needs no pytest, so it runs
+on every installed interpreter; equal digests across interpreters mean
+results do not depend on the Python version.  With ``--verbose`` each run's own
 digest is printed too, to locate a difference.
 """
 
@@ -34,12 +36,11 @@ except ImportError:
     import snmod
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import random_geo_graph  # noqa: E402
+from _graphs import ensemble_spec, random_geo_graph  # noqa: E402
 from snmod.louvain import EngineConfig, run_louvain  # noqa: E402
 from snmod.metrics import SNParams  # noqa: E402
 from snmod.snic import SnicConfig, run_snic  # noqa: E402
 from snmod.synth import planted_geo_clusters  # noqa: E402
-from test_acceptance import ensemble_spec  # noqa: E402
 
 ENSEMBLE_SIGMAS = (300.0, 5000.0)
 AGGS = ("max", "sum")
@@ -47,7 +48,7 @@ RANDOM_SETTINGS = (("haversine", 1500.0), ("planar", 30.0))
 
 
 def snic_record(g, params, seed):
-    run = run_snic(g, SnicConfig(params, max_iters=10, engine=EngineConfig(seed=seed)))
+    run = run_snic(g, SnicConfig(params, max_iters=10, seed=seed))
     trace = [(e.iteration, e.constraint_km, e.sn_modularity, e.span_km) for e in run.trace.entries]
     return run.partition.assignment, trace
 

@@ -8,7 +8,6 @@ from .geograph import (
     induced_subgraph,
     load_graph,
     validate_graph,
-    weighted_degree,
 )
 from .geometry import (
     EARTH_RADIUS_KM,

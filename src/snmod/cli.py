@@ -18,10 +18,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph
+from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph, summed
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, run_louvain
-from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity, summed
+from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
@@ -78,7 +78,10 @@ def read_partition_csv(path, g: GeoGraph) -> Partition:
             header = False
             if node in by_external:
                 raise GraphDataError(f"partition line {ln}: duplicate node {node}")
-            by_external[node] = parts[1].strip()
+            label = parts[1].strip()
+            if not label:
+                raise GraphFormatError(f"partition line {ln}: empty community label")
+            by_external[node] = label
     labels = []
     for i in range(g.num_nodes):
         ext = g.external_ids[i]
@@ -187,7 +190,7 @@ def run_algorithm(g, algo, params: SNParams, seed: int, max_iters: int):
     elif algo == "louvain-sn":
         partition = run_louvain(g, params, engine)
     elif algo == "snic":
-        cfg = SnicConfig(params=params, max_iters=max_iters, engine=engine)
+        cfg = SnicConfig(params=params, max_iters=max_iters, seed=seed)
         partition, trace = run_snic(g, cfg)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")

@@ -7,9 +7,12 @@ with ISO-8601 timestamps; the format is auto-detected from the first
 significant line.  Both files are read once, line by line, keeping per node
 only what the coordinate policy needs.  External node ids are non-negative
 integers and are remapped to dense internal ids by ascending external id,
-which makes loading fully deterministic.
+which makes loading fully deterministic.  Every float total, from a
+node's weighted degree to a modularity score, is added left to right by
+:func:`summed`, so results are the same on every supported Python.
 """
 
+import bisect
 import math
 import os
 from typing import Iterable, Mapping, Sequence
@@ -25,17 +28,33 @@ class GraphDataError(ValueError):
     """Structurally invalid graph data (weights, ids, coordinate coverage)."""
 
 
+def summed(terms: Iterable[float]) -> float:
+    """Left-to-right sum of floats, started at 0.0.
+
+    Every float total of the program is added by this one loop, so that all
+    of them agree bit for bit on every supported Python; builtin ``sum``
+    rounds floats differently from Python 3.12 on.
+    """
+    total = 0.0
+    for q in terms:
+        total += q
+    return total
+
+
 class GeoGraph:
     """Immutable undirected weighted graph whose nodes carry locations.
 
+    Built from ``external_ids`` (ascending, unique), ``nodes`` and ``adj``:
     ``nodes[i]`` is internal node ``i``'s location, a :class:`GeoPoint`; it
-    is the only copy, and the geometry kernels read it in place.
+    is the only copy, and the geometry kernels read it in place.  ``adj[i]``
+    lists ``(j, w)`` over node ``i``'s neighbours.
 
-    ``two_m`` is the total weight over ordered node pairs and equals the sum
-    of weighted degrees.  Self-loops are rejected by the public loaders; the
-    Louvain coarsening step builds graphs that carry them via
-    :func:`assemble_graph`, where a loop's stored weight is its ordered-pair
-    total and counts once toward the node's degree.
+    Everything else is derived from the rows.  ``degrees[i]`` adds row
+    ``i``'s weights left to right; ``two_m``, the total weight over ordered
+    node pairs, adds the degrees in node order.  Self-loops are rejected by
+    the public loaders; the Louvain coarsening step builds graphs that carry
+    them via :func:`assemble_graph`, where a loop's stored weight is its
+    ordered-pair total and counts once toward the node's degree.
 
     ``num_edges`` counts undirected edges, a self-loop once.
 
@@ -45,18 +64,16 @@ class GeoGraph:
     """
 
     __slots__ = (
-        "external_ids", "nodes", "adj", "degrees", "two_m", "num_edges",
-        "_ext_index", "_kernels",
+        "external_ids", "nodes", "adj", "degrees", "two_m", "num_edges", "_kernels",
     )
 
-    def __init__(self, external_ids, nodes, adj, degrees, two_m):
+    def __init__(self, external_ids, nodes, adj):
         self.external_ids = tuple(external_ids)
         self.nodes = tuple(nodes)
         self.adj = tuple(tuple(row) for row in adj)
-        self.degrees = tuple(degrees)
-        self.two_m = float(two_m)
+        self.degrees = tuple(summed(w for _, w in row) for row in self.adj)
+        self.two_m = summed(self.degrees)
         self.num_edges = sum(1 for u, row in enumerate(self.adj) for v, _ in row if u <= v)
-        self._ext_index = {e: i for i, e in enumerate(self.external_ids)}
         self._kernels: dict[str, GeoKernel] = {}
 
     # -- construction -----------------------------------------------------
@@ -68,14 +85,12 @@ class GeoGraph:
         coords: Mapping[int, tuple],
         *,
         extra_nodes: Iterable[int] = (),
-        missing_policy: str = "error",
     ) -> "GeoGraph":
         """Build a graph from (u, v[, w]) tuples and a node -> (lat, lon) map.
 
         Duplicate undirected edges (including reversed duplicates) merge by
         summing weights.  Nodes are edge endpoints plus ``extra_nodes``;
-        endpoints without coordinates raise under ``missing_policy='error'``
-        or are removed together with their incident edges under ``'drop'``.
+        every node must have coordinates.
         """
         pair_weights: dict[tuple[int, int], float] = {}
         for edge in edges:
@@ -98,7 +113,7 @@ class GeoGraph:
         for e in extra:
             if e < 0:
                 raise GraphDataError(f"negative node id {e}")
-        return _build_graph(pair_weights, coords, missing_policy, extra)
+        return _build_graph(pair_weights, coords, "error", extra)
 
     # -- accessors --------------------------------------------------------
 
@@ -118,10 +133,12 @@ class GeoGraph:
         return kernel
 
     def internal_id(self, external: int) -> int:
-        try:
-            return self._ext_index[external]
-        except KeyError:
-            raise GraphDataError(f"unknown external node id {external}") from None
+        """The internal id of ``external``, bisected in the ascending ``external_ids``."""
+        ids = self.external_ids
+        i = bisect.bisect_left(ids, external)
+        if i == len(ids) or ids[i] != external:
+            raise GraphDataError(f"unknown external node id {external}")
+        return i
 
     def undirected_edges(self):
         """Yield (u, v, w) with u <= v over internal ids."""
@@ -185,12 +202,9 @@ def assemble_graph(
         else:
             rows[iu].append((iv, w))
             rows[iv].append((iu, w))
-    degrees = []
-    for i in range(len(ext)):
-        rows[i].sort()
-        degrees.append(sum(w for _, w in rows[i]))
-    two_m = sum(degrees)
-    return GeoGraph(ext, nodes, rows, degrees, two_m)
+    for row in rows:
+        row.sort()
+    return GeoGraph(ext, nodes, rows)
 
 
 def _merge_edge(pair_weights: dict, u: int, v: int, w: float) -> None:
@@ -215,8 +229,6 @@ def _build_graph(
     Nodes without coordinates raise under ``missing_policy='error'`` or are
     removed together with their incident edges under ``'drop'``.
     """
-    if missing_policy not in ("error", "drop"):
-        raise ValueError(f"unknown missing_policy {missing_policy!r}")
     node_set = {e for pair in pair_weights for e in pair}
     node_set.update(extra_nodes)
     missing = sorted(e for e in node_set if e not in coords)
@@ -260,21 +272,14 @@ def induced_subgraph(g: GeoGraph, keep: Iterable[int]) -> GeoGraph:
     )
 
 
-def weighted_degree(g: GeoGraph, i: int) -> float:
-    """Sum of weights incident to internal node ``i``."""
-    if not isinstance(i, int) or not 0 <= i < g.num_nodes:
-        raise GraphDataError(f"unknown internal node id {i}")
-    return g.degrees[i]
-
-
 def validate_graph(g: GeoGraph, *, allow_self_loops: bool = False) -> list[str]:
     """Check all structural invariants; returns a list of violation messages."""
     report: list[str] = []
     n = g.num_nodes
     if list(g.external_ids) != sorted(set(g.external_ids)):
         report.append("external ids are not sorted unique")
-    if len(g.adj) != n or len(g.degrees) != n:
-        report.append("adjacency/degree tables do not match the node count")
+    if len(g.adj) != n:
+        report.append("adjacency table does not match the node count")
         return report
     weights: dict[tuple[int, int], float] = {}
     for u, row in enumerate(g.adj):
@@ -293,13 +298,6 @@ def validate_graph(g: GeoGraph, *, allow_self_loops: bool = False) -> list[str]:
             report.append(f"asymmetric adjacency: ({u}, {v}) present, ({v}, {u}) absent")
         elif abs(back - w) > 1e-9 * max(1.0, abs(w)):
             report.append(f"asymmetric weights on edge ({u}, {v}): {w} vs {back}")
-    for i in range(n):
-        k = sum(w for _, w in g.adj[i])
-        if abs(k - g.degrees[i]) > 1e-9 * max(1.0, abs(k)):
-            report.append(f"degree of node {i} is {g.degrees[i]}, row sums to {k}")
-    total = sum(g.degrees)
-    if abs(total - g.two_m) > 1e-9 * max(1.0, abs(total)):
-        report.append(f"two_m is {g.two_m}, degrees sum to {total}")
     for i, (lat, lon) in enumerate(g.nodes):
         try:
             _check_coord(lat, lon, f"node {i}")
@@ -328,10 +326,14 @@ def load_graph(
     takes the spherical mean, ``'last'`` the most recent by timestamp (file
     order for plain CSV; a later row wins a tie).  The node set is the set
     of edge endpoints; coordinate rows for other ids are validated, then
-    ignored.
+    ignored.  Endpoints without coordinates raise under
+    ``missing_policy='error'`` and are dropped with their edges under
+    ``'drop'``.  Both policies are checked before either source is opened.
     """
     if coord_policy not in ("mean", "last"):
         raise ValueError(f"unknown coord_policy {coord_policy!r}")
+    if missing_policy not in ("error", "drop"):
+        raise ValueError(f"unknown missing_policy {missing_policy!r}")
     pair_weights = _read(edge_source, _parse_edges)
     coords = _read(coord_source, _parse_coords, coord_policy)
     return _build_graph(pair_weights, coords, missing_policy)

@@ -147,10 +147,8 @@ class LevelState:
         c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
-    def _insertion_gain(self, i: int, c: _Community | None, kiin: float) -> float:
+    def _insertion_gain(self, i: int, c: _Community, kiin: float) -> float:
         """Change in the objective from inserting isolated node i into community c."""
-        if c is None or not c.members:
-            return 0.0
         two_m = self.two_m
         k = self.graph.degrees[i]
         params = self.params

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geograph import GeoGraph
+from .geograph import GeoGraph, summed
 from .geometry import AGG_NAMES, METRIC_NAMES, GeoPoint
 
 
@@ -130,18 +130,6 @@ def community_term(sum_in: float, sum_deg: float, dispersion: float, two_m: floa
     reads its terms from here.
     """
     return (sum_in - sum_deg * sum_deg / two_m) / (1.0 + dispersion) / two_m
-
-
-def summed(terms: Iterable[float]) -> float:
-    """Left-to-right sum of community terms.
-
-    Every total is summed by this one loop so that all scorers agree bit for
-    bit; builtin ``sum`` rounds floats differently from Python 3.12 on.
-    """
-    total = 0.0
-    for q in terms:
-        total += q
-    return total
 
 
 def community_qualities(g: GeoGraph, p: Partition, params: SNParams | None) -> list[float]:

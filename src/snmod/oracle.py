@@ -7,8 +7,8 @@ Feasible up to n = 12 (4,213,597 partitions).
 
 from typing import Iterator
 
-from .geograph import GeoGraph
-from .metrics import Partition, SNParams, community_qualities, summed
+from .geograph import GeoGraph, summed
+from .metrics import Partition, SNParams, community_qualities
 
 # Bell numbers B(0)..B(12)
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)

@@ -9,7 +9,7 @@ partition seen anywhere in the trace is returned.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geograph import GeoGraph
@@ -19,15 +19,15 @@ from .metrics import Partition, SNParams, sn_modularity
 
 @dataclass(frozen=True)
 class SnicConfig:
+    """SNIC settings; ``seed`` sets each iteration's visit order as in :class:`EngineConfig`."""
+
     params: SNParams
     max_iters: int = 100
-    engine: EngineConfig = EngineConfig()
+    seed: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if math.isfinite(self.engine.join_constraint_km):
-            raise ValueError("engine.join_constraint_km must be inf: SNIC sets the constraint")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
     best_partition: Partition | None = None
     best_score = -math.inf
     for iteration in range(1, cfg.max_iters + 1):
-        engine = replace(cfg.engine, join_constraint_km=constraint)
+        engine = EngineConfig(join_constraint_km=constraint, seed=cfg.seed)
         started = time.perf_counter()
         partition = run_louvain(g, cfg.params, engine)
         seconds = time.perf_counter() - started

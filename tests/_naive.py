@@ -66,6 +66,9 @@ def naive_load(edge_text, coord_text, coord_policy="mean", missing_policy="drop"
     greatest by (timestamp, position) (``'last'``; plain CSV rows have an
     empty timestamp).  No input checks: the texts must be valid, and under
     ``missing_policy='error'`` every edge endpoint must have coordinates.
+
+    Returns the graph and the weighted degrees, each row's weights added
+    left to right here, apart from the graph's own degrees.
     """
     from snmod.geograph import GeoGraph
     from snmod.geometry import GeoPoint
@@ -115,11 +118,16 @@ def naive_load(edge_text, coord_text, coord_policy="mean", missing_policy="drop"
         adj[index[u]].append((index[v], w))
         adj[index[v]].append((index[u], w))
     adj = [sorted(row) for row in adj]
-    degrees = [sum(w for _, w in row) for row in adj]
+    degrees = []
+    for row in adj:
+        k = 0.0
+        for _, w in row:
+            k += w
+        degrees.append(k)
     # node longitudes lie in (-180, 180]: a mean that lands on -180 reads 180
     points = [GeoPoint(float(coords[e][0]), 180.0 if coords[e][1] == -180.0 else float(coords[e][1]))
               for e in nodes]
-    return GeoGraph(nodes, points, adj, degrees, sum(degrees))
+    return GeoGraph(nodes, points, adj), tuple(degrees)
 
 
 def _weight_lookup(g):

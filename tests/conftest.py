@@ -5,6 +5,8 @@ import pytest
 from snmod.geograph import GeoGraph
 from snmod.metrics import Partition
 
+from _graphs import random_geo_graph  # noqa: F401  (tests import it from here)
+
 # fixture topology: two unit triangles joined by the 2-3 bridge; two_m = 14
 BRIDGED_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
 
@@ -24,24 +26,6 @@ def colocated_clusters(offset_lon=0.9):
     coords = {i: (0.0, 0.0) for i in (0, 1, 2)}
     coords.update({i: (0.0, offset_lon) for i in (3, 4, 5)})
     return GeoGraph.from_edges(BRIDGED_EDGES, coords)
-
-
-def random_geo_graph(rng: random.Random, n, edge_p=0.5, weighted=True, colocated=False):
-    """Random graph with random worldwide coordinates; may be disconnected."""
-    if colocated:
-        base = (rng.uniform(-80, 80), rng.uniform(-170, 170))
-        coords = {i: base for i in range(n)}
-    else:
-        coords = {
-            i: (rng.uniform(-80.0, 80.0), rng.uniform(-170.0, 170.0)) for i in range(n)
-        }
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_p:
-                w = rng.uniform(0.5, 2.0) if weighted else 1.0
-                edges.append((u, v, w))
-    return GeoGraph.from_edges(edges, coords, extra_nodes=range(n))
 
 
 def random_partition(rng: random.Random, n, max_groups=None):

@@ -31,7 +31,8 @@ from snmod.sampler import SampleSpec, snowball_sample
 from snmod.snic import SnicConfig, run_snic
 from snmod.synth import SCALING_SIZES, SyntheticSpec, planted_geo_clusters, scaling_spec
 
-from conftest import bridged_triangles, colocated_clusters, random_geo_graph, random_partition
+from conftest import bridged_triangles, colocated_clusters, random_partition
+from _graphs import ensemble_spec, random_geo_graph
 from _naive import naive_ng, naive_sn
 
 SIGMAS = (300.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0)
@@ -42,19 +43,6 @@ def _finish(cid: str, problems: list[str], detail: str = ""):
     status = "FAIL" if problems else "PASS"
     print(f"[acceptance] criterion {cid}: {status}{' - ' if detail else ''}{detail}")
     assert not problems, f"criterion {cid}: " + "; ".join(problems[:10])
-
-
-def ensemble_spec(seed: int) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_nodes=1000,
-        n_clusters=10,
-        p_intra=0.06,
-        p_inter=0.002,
-        spacing_km=2000.0,
-        spread_km=20.0,
-        geo_mode="scattered",
-        seed=seed,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +172,7 @@ def test_criterion_3_heuristics_vs_oracle():
                 best_sn,
                 sn_modularity(
                     g,
-                    run_snic(g, SnicConfig(params, max_iters=10, engine=engine)).partition,
+                    run_snic(g, SnicConfig(params, max_iters=10, seed=engine.seed)).partition,
                     params,
                 ),
             ),
@@ -229,7 +217,7 @@ def test_criterion_4_snic_dominates_single_run():
     for params, engine in configs:
         single = run_louvain(g, params, engine)
         single_sn = sn_modularity(g, single, params)
-        partition, trace = run_snic(g, SnicConfig(params, max_iters=10, engine=engine))
+        partition, trace = run_snic(g, SnicConfig(params, max_iters=10, seed=engine.seed))
         snic_sn = sn_modularity(g, partition, params)
         if snic_sn < single_sn - 1e-12:
             problems.append(f"snic below single run at sigma={params.sigma:g}")
@@ -428,7 +416,7 @@ def test_criterion_9_determinism(tmp_path):
         if blobs[0] != blobs[1]:
             problems.append(f"{algo} partition files differ between runs")
 
-    cfg = SnicConfig(SNParams(500.0), max_iters=5, engine=EngineConfig(seed=2))
+    cfg = SnicConfig(SNParams(500.0), max_iters=5, seed=2)
     a = run_snic(g, cfg)
     b = run_snic(g, cfg)
     if a.partition != b.partition:

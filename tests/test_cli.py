@@ -222,6 +222,17 @@ class TestScore:
                    "--partition", str(part), "--sigma", "1"])
         assert rc == 2
 
+    def test_empty_community_label_errors(self, fixture_files, tmp_path, capsys):
+        edges, coords = fixture_files
+        part = tmp_path / "given.csv"
+        for blank in ("", " "):
+            rows = "".join(f"{i},{blank if i == 2 else 0}\n" for i in range(6))
+            part.write_text("node,community\n" + rows)
+            rc = main(["score", "--edges", str(edges), "--coords", str(coords),
+                       "--partition", str(part), "--sigma", "1"])
+            assert rc == 2
+            assert "partition line 4: empty community label" in capsys.readouterr().err
+
     def test_partition_with_unknown_node_errors(self, fixture_files, tmp_path):
         edges, coords = fixture_files
         part = tmp_path / "given.csv"

@@ -15,7 +15,6 @@ from snmod.geograph import (
     induced_subgraph,
     load_graph,
     validate_graph,
-    weighted_degree,
 )
 
 from _naive import naive_load
@@ -46,7 +45,7 @@ def test_duplicate_edges_merge_by_weight_sum():
 def test_weight_column_and_comments_and_blanks():
     g = load("# comment\n\n0\t1\t2.5\n", "0,1,2\n1,3,4\n")
     assert g.two_m == 5.0
-    assert weighted_degree(g, 0) == 2.5
+    assert g.degrees[0] == 2.5
 
 
 def test_missing_policy_drop_removes_node_and_edges():
@@ -145,10 +144,49 @@ def test_weighted_degree_examples():
     star = GeoGraph.from_edges(
         [(0, 1), (0, 2), (0, 3)], {i: (0, 0) for i in range(4)}
     )
-    assert weighted_degree(star, 0) == 3.0
-    assert weighted_degree(star, 1) == 1.0
-    with pytest.raises(GraphDataError):
-        weighted_degree(star, 9)
+    assert star.degrees == (3.0, 1.0, 1.0, 1.0)
+
+
+def test_policies_are_checked_before_any_source_is_read():
+    def unread():
+        raise AssertionError("a source was read")
+        yield  # a generator: the body runs only when it is read
+
+    with pytest.raises(ValueError, match="missing_policy"):
+        load_graph(unread(), unread(), missing_policy="bogus")
+    with pytest.raises(ValueError, match="coord_policy"):
+        load_graph(unread(), unread(), coord_policy="bogus")
+
+
+def test_degrees_and_two_m_add_left_to_right():
+    # a compensated sum, as builtin sum does from Python 3.12 on, would
+    # give the hub 1.0000000000000002 and two_m 2.0000000000000004
+    star = GeoGraph.from_edges(
+        [(0, 1, 1.0), (0, 2, 1e-16), (0, 3, 1e-16)], {i: (0, 0) for i in range(4)}
+    )
+    assert star.degrees[0] == 1.0
+    assert star.two_m == 2.0
+
+
+def test_rows_alone_give_the_degrees_assemble_graph_gives():
+    coords = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
+    built = assemble_graph(
+        [0, 1, 2], coords, {(0, 0): 6.0, (0, 1): 1.5}, allow_self_loops=True
+    )
+    raw = GeoGraph([0, 1, 2], built.nodes, [[(0, 6.0), (1, 1.5)], [(0, 1.5)], []])
+    assert raw == built
+    assert (raw.degrees, raw.two_m, raw.num_edges) == (built.degrees, built.two_m, built.num_edges)
+    assert raw.degrees == (7.5, 1.5, 0.0)
+    assert type(raw.degrees[2]) is float  # an isolated node's degree
+    assert raw.num_edges == 2
+
+
+def test_internal_id_of_unknown_ids():
+    g = GeoGraph.from_edges([(5, 7), (7, 20)], {5: (1, 1), 7: (2, 2), 20: (3, 3)})
+    assert [g.internal_id(e) for e in (5, 7, 20)] == [0, 1, 2]
+    for unknown in (4, 6, 8, 21):
+        with pytest.raises(GraphDataError, match=f"unknown external node id {unknown}"):
+            g.internal_id(unknown)
 
 
 def test_external_ids_sorted_dense_and_deterministic():
@@ -181,15 +219,11 @@ def test_validate_graph_clean():
 
 def test_validate_graph_reports_violations():
     nodes = GeoGraph.from_edges([(0, 1)], {0: (0, 0), 1: (0, 0)}).nodes
-    asym = GeoGraph([0, 1], nodes, [[(1, 1.0)], []], [1.0, 0.0], 1.0)
+    asym = GeoGraph([0, 1], nodes, [[(1, 1.0)], []])
     report = validate_graph(asym)
     assert any("asymmetric" in line for line in report)
 
-    bad_two_m = GeoGraph([0, 1], nodes, [[(1, 1.0)], [(0, 1.0)]], [1.0, 1.0], 5.0)
-    report = validate_graph(bad_two_m)
-    assert any("two_m" in line for line in report)
-
-    loopy = GeoGraph([0, 1], nodes, [[(0, 2.0), (1, 1.0)], [(0, 1.0)]], [3.0, 1.0], 4.0)
+    loopy = GeoGraph([0, 1], nodes, [[(0, 2.0), (1, 1.0)], [(0, 1.0)]])
     assert any("self-loop" in line for line in validate_graph(loopy))
     assert validate_graph(loopy, allow_self_loops=True) == []
 
@@ -282,7 +316,7 @@ def _bits(g):
 @settings(max_examples=300, deadline=None)
 def test_streamed_load_equals_the_row_holding_loader(texts, policy, as_lines):
     edges, coords = texts
-    want = naive_load(edges, coords, coord_policy=policy)
+    want, want_degrees = naive_load(edges, coords, coord_policy=policy)
     if as_lines:
         got = load_graph(edges.splitlines(keepends=True), coords.splitlines(keepends=True),
                          coord_policy=policy, missing_policy="drop")
@@ -290,7 +324,7 @@ def test_streamed_load_equals_the_row_holding_loader(texts, policy, as_lines):
         got = load(edges, coords, coord_policy=policy, missing_policy="drop")
     assert got == want
     assert _bits(got) == _bits(want)
-    assert got.degrees == want.degrees
+    assert got.degrees == want_degrees
 
 
 def test_load_memory_is_set_by_users_not_rows(tmp_path):

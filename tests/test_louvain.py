@@ -324,10 +324,7 @@ class TestBoundThenVerify:
             spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=4,
         )
         g, _ = planted_geo_clusters(spec)
-        cfg = SnicConfig(
-            SNParams(sigma, agg=agg, metric=metric),
-            engine=EngineConfig(seed=4),
-        )
+        cfg = SnicConfig(SNParams(sigma, agg=agg, metric=metric), seed=4)
         work = {"scans": 0, "checks": 0}
         stats, within_limit = GeoKernel.stats, GeoKernel.within_limit
 
@@ -365,7 +362,7 @@ def _no_skip(communities, labels, clock):
 def _detect(g, mode: str, params: SNParams, cfg: EngineConfig):
     """Partition, plus the SNIC trace values for mode 'snic'."""
     if mode == "snic":
-        run = run_snic(g, SnicConfig(params, max_iters=10, engine=cfg))
+        run = run_snic(g, SnicConfig(params, max_iters=10, seed=cfg.seed))
         trace = [(e.iteration, e.constraint_km, e.sn_modularity, e.span_km) for e in run.trace.entries]
         return run.partition, trace
     return run_louvain(g, None if mode == "ng" else params, cfg), None

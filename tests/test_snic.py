@@ -18,8 +18,6 @@ TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 def test_config_validation():
     with pytest.raises(ValueError):
         SnicConfig(SNParams(1.0), max_iters=0)
-    with pytest.raises(ValueError):
-        SnicConfig(SNParams(1.0), engine=EngineConfig(join_constraint_km=100.0))
 
 
 class TestPartitionMaxSpan:
@@ -95,7 +93,7 @@ class TestRunSnic:
             g = random_geo_graph(rng, 14, edge_p=0.3)
             params = SNParams(10 ** rng.uniform(1, 3.5))
             engine = EngineConfig(seed=seed)
-            partition, trace = run_snic(g, SnicConfig(params, max_iters=8, engine=engine))
+            partition, trace = run_snic(g, SnicConfig(params, max_iters=8, seed=seed))
             single = run_louvain(g, params, engine)
             got = sn_modularity(g, partition, params)
             assert got >= sn_modularity(g, single, params) - 1e-12
