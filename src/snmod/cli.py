@@ -21,7 +21,9 @@ from pathlib import Path
 from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph, summed
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, run_louvain
-from .metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity
+from .metrics import (
+    Partition, SNParams, check_assignment, community_qualities, ng_modularity, sn_modularity,
+)
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
@@ -46,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def write_partition_csv(path, g: GeoGraph, p: Partition) -> None:
     """Write ``node,community`` rows, external ids ascending."""
+    check_assignment(g, p.assignment)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node,community\n")
         for i in range(g.num_nodes):
@@ -133,6 +136,7 @@ def write_sweep_traces(trace_dir, traces) -> None:
 
 def export_geojson(g: GeoGraph, p: Partition, path) -> None:
     """One Point feature per node, one LineString per edge (lon,lat order)."""
+    check_assignment(g, p.assignment)
     features = []
     for i in range(g.num_nodes):
         node = g.nodes[i]

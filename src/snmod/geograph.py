@@ -14,6 +14,7 @@ node's weighted degree to a modularity score, is added left to right by
 
 import bisect
 import math
+import operator
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -44,10 +45,15 @@ def summed(terms: Iterable[float]) -> float:
 class GeoGraph:
     """Immutable undirected weighted graph whose nodes carry locations.
 
-    Built from ``external_ids`` (ascending, unique), ``nodes`` and ``adj``:
-    ``nodes[i]`` is internal node ``i``'s location, a :class:`GeoPoint`; it
-    is the only copy, and the geometry kernels read it in place.  ``adj[i]``
-    lists ``(j, w)`` over node ``i``'s neighbours.
+    Built from ``external_ids``, ``nodes`` and ``adj``, one entry of each
+    per node: ``nodes[i]`` is internal node ``i``'s location; it is the only
+    copy, and the geometry kernels read it in place.  ``adj[i]`` lists
+    ``(j, w)`` over node ``i``'s neighbours.  The constructor is the one
+    place the node rules are checked: it raises :class:`GraphDataError` when
+    the three lengths differ, an id is negative, the ids do not ascend
+    strictly, or a point is non-finite or out of range.  It stores each
+    point as ``GeoPoint(float(lat), lon)``, longitude -180 as 180.  The rows
+    are taken as given; :func:`validate_graph` checks them.
 
     Everything else is derived from the rows.  ``degrees[i]`` adds row
     ``i``'s weights left to right; ``two_m``, the total weight over ordered
@@ -68,9 +74,23 @@ class GeoGraph:
     )
 
     def __init__(self, external_ids, nodes, adj):
-        self.external_ids = tuple(external_ids)
-        self.nodes = tuple(nodes)
+        self.external_ids = ids = tuple(external_ids)
         self.adj = tuple(tuple(row) for row in adj)
+        if not len(ids) == len(nodes) == len(self.adj):
+            raise GraphDataError(f"unequal counts: {len(ids)} ids, {len(nodes)} points, {len(self.adj)} rows")
+        if ids and ids[0] < 0:
+            raise GraphDataError(f"negative node id {ids[0]}")
+        points = []
+        prev = -1
+        for e, (lat, lon) in zip(ids, nodes):
+            if e <= prev:
+                raise GraphDataError(f"external ids must ascend strictly: {e} after {prev}")
+            prev = e
+            lat, lon = float(lat), float(lon)
+            if not (-90.0 <= lat <= 90.0 and -180.0 < lon <= 180.0):
+                lon = _check_coord(lat, lon, f"node {e}")
+            points.append(GeoPoint(lat, lon))
+        self.nodes = tuple(points)
         self.degrees = tuple(summed(w for _, w in row) for row in self.adj)
         self.two_m = summed(self.degrees)
         self.num_edges = sum(1 for u, row in enumerate(self.adj) for v, _ in row if u <= v)
@@ -102,18 +122,10 @@ class GeoGraph:
             u = int(u)
             v = int(v)
             w = float(w)
-            if u < 0 or v < 0:
-                raise GraphDataError(f"negative node id in edge ({u}, {v})")
-            if u == v:
-                raise GraphDataError(f"self-loop edge on node {u}")
             if not math.isfinite(w) or w <= 0:
                 raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
             _merge_edge(pair_weights, u, v, w)
-        extra = [int(e) for e in extra_nodes]
-        for e in extra:
-            if e < 0:
-                raise GraphDataError(f"negative node id {e}")
-        return _build_graph(pair_weights, coords, "error", extra)
+        return _build_graph(pair_weights, coords, "error", map(int, extra_nodes))
 
     # -- accessors --------------------------------------------------------
 
@@ -172,36 +184,38 @@ def assemble_graph(
 ) -> GeoGraph:
     """Assemble a graph from prepared parts.
 
-    ``external_ids`` must be sorted ascending and unique; ``pair_weights``
-    maps external (u, v) with u <= v to merged positive weights.  Coarsened
-    graphs pass ``allow_self_loops=True``; a loop weight is interpreted as
-    the ordered-pair internal total and enters the degree once.
+    ``coords`` maps each of ``external_ids`` to its ``(lat, lon)``, which
+    :class:`GeoGraph` checks; ``pair_weights`` maps external (u, v) with
+    u <= v to merged positive weights.  Coarsened graphs pass
+    ``allow_self_loops=True``; a loop weight is interpreted as the
+    ordered-pair internal total and enters the degree once.
     """
     ext = list(external_ids)
-    if ext != sorted(set(ext)):
-        raise GraphDataError("external ids must be sorted and unique")
+    try:
+        nodes = [coords[e] for e in ext]
+    except KeyError:
+        missing = [str(e) for e in ext if e not in coords]
+        raise GraphDataError(
+            f"{len(missing)} node(s) lack coordinates (e.g. {', '.join(missing[:5])})"
+        ) from None
     index = {e: i for i, e in enumerate(ext)}
-    nodes = []
-    for e in ext:
-        lat, lon = coords[e]
-        lat = float(lat)
-        lon = _check_coord(lat, float(lon), f"node {e}")
-        nodes.append(GeoPoint(lat, lon))
-
     rows: list[list[tuple[int, float]]] = [[] for _ in ext]
-    for (u, v), w in pair_weights.items():
-        w = float(w)
-        if not math.isfinite(w) or w <= 0:
-            raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
-        if u == v and not allow_self_loops:
-            raise GraphDataError(f"self-loop edge on node {u}")
-        iu = index[u]
-        iv = index[v]
-        if iu == iv:
-            rows[iu].append((iu, w))
-        else:
-            rows[iu].append((iv, w))
-            rows[iv].append((iu, w))
+    try:
+        for (u, v), w in pair_weights.items():
+            w = float(w)
+            if not math.isfinite(w) or w <= 0:
+                raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
+            if u == v and not allow_self_loops:
+                raise GraphDataError(f"self-loop edge on node {u}")
+            iu = index[u]
+            iv = index[v]
+            if iu == iv:
+                rows[iu].append((iu, w))
+            else:
+                rows[iu].append((iv, w))
+                rows[iv].append((iu, w))
+    except KeyError as exc:
+        raise GraphDataError(f"edge endpoint {exc.args[0]} is not a node") from None
     for row in rows:
         row.sort()
     return GeoGraph(ext, nodes, rows)
@@ -231,56 +245,48 @@ def _build_graph(
     """
     node_set = {e for pair in pair_weights for e in pair}
     node_set.update(extra_nodes)
-    missing = sorted(e for e in node_set if e not in coords)
-    if missing:
-        if missing_policy == "error":
-            shown = ", ".join(str(e) for e in missing[:5])
-            raise GraphDataError(
-                f"{len(missing)} node(s) lack coordinates (e.g. {shown})"
-            )
-        gone = set(missing)
-        node_set -= gone
-        pair_weights = {
-            (u, v): w
-            for (u, v), w in pair_weights.items()
-            if u not in gone and v not in gone
-        }
+    if missing_policy == "drop":
+        gone = {e for e in node_set if e not in coords}
+        if gone:
+            node_set -= gone
+            pair_weights = {
+                (u, v): w for (u, v), w in pair_weights.items() if u not in gone and v not in gone
+            }
     return assemble_graph(sorted(node_set), coords, pair_weights)
+
+
+def sorted_internal_ids(g: GeoGraph, ids: Iterable[int]) -> list[int]:
+    """``ids`` sorted; GraphDataError unless each is an integer internal id of ``g``."""
+    try:
+        ids = sorted(map(operator.index, ids))
+    except TypeError:
+        raise GraphDataError("node ids must be integer internal ids") from None
+    for i in ids[:1] + ids[-1:]:
+        if not 0 <= i < g.num_nodes:
+            raise GraphDataError(f"unknown internal node id {i}")
+    return ids
 
 
 def induced_subgraph(g: GeoGraph, keep: Iterable[int]) -> GeoGraph:
     """Node-induced subgraph over internal ids, keeping original external ids.
 
-    Every edge of ``g`` between kept nodes is retained with its weight; kept
-    nodes that end up isolated are retained too.
+    ``keep`` holds integer internal ids, repeats allowed.  Each kept row is
+    relabelled and sliced to the kept neighbours, so every edge between kept
+    nodes keeps its weight and kept nodes that end up isolated are retained.
     """
-    keep_set = set(int(i) for i in keep)
-    for i in keep_set:
-        if not 0 <= i < g.num_nodes:
-            raise GraphDataError(f"unknown internal node id {i}")
-    kept = sorted(keep_set, key=lambda i: g.external_ids[i])
-    coords = {g.external_ids[i]: g.nodes[i] for i in kept}
-    pairs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.undirected_edges():
-        if u in keep_set and v in keep_set:
-            eu = g.external_ids[u]
-            ev = g.external_ids[v]
-            key = (eu, ev) if eu < ev else (ev, eu)
-            pairs[key] = w
-    return assemble_graph(
-        [g.external_ids[i] for i in kept], coords, pairs, allow_self_loops=True
+    kept = sorted_internal_ids(g, set(keep))
+    new_id = {i: k for k, i in enumerate(kept)}
+    return GeoGraph(
+        [g.external_ids[i] for i in kept],
+        [g.nodes[i] for i in kept],
+        [[(new_id[j], w) for j, w in g.adj[i] if j in new_id] for i in kept],
     )
 
 
 def validate_graph(g: GeoGraph, *, allow_self_loops: bool = False) -> list[str]:
-    """Check all structural invariants; returns a list of violation messages."""
+    """Check the rows (endpoints, weights, loops, symmetry); returns the violations."""
     report: list[str] = []
     n = g.num_nodes
-    if list(g.external_ids) != sorted(set(g.external_ids)):
-        report.append("external ids are not sorted unique")
-    if len(g.adj) != n:
-        report.append("adjacency table does not match the node count")
-        return report
     weights: dict[tuple[int, int], float] = {}
     for u, row in enumerate(g.adj):
         for v, w in row:
@@ -298,11 +304,6 @@ def validate_graph(g: GeoGraph, *, allow_self_loops: bool = False) -> list[str]:
             report.append(f"asymmetric adjacency: ({u}, {v}) present, ({v}, {u}) absent")
         elif abs(back - w) > 1e-9 * max(1.0, abs(w)):
             report.append(f"asymmetric weights on edge ({u}, {v}): {w} vs {back}")
-    for i, (lat, lon) in enumerate(g.nodes):
-        try:
-            _check_coord(lat, lon, f"node {i}")
-        except GraphDataError as exc:
-            report.append(str(exc))
     return report
 
 

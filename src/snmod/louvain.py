@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .geograph import GeoGraph, assemble_graph
-from .metrics import Partition, SNParams, _community_sums, community_term
+from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
 # Relative slack on each distance that the O(1) bounds read.  Every distance
 # is mapped from a squared chord between stored vectors (see GeoKernel);
@@ -120,8 +120,7 @@ class LevelState:
         ]
         self.kernel = graph.kernel("haversine" if params is None else params.metric)
         self.comm = list(range(n)) if assignment is None else [int(c) for c in assignment]
-        if len(self.comm) != n:
-            raise ValueError("assignment length does not match the graph")
+        check_assignment(graph, self.comm)
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
         self.clock = 0
         self.communities: dict[int, _Community] = {}
@@ -399,8 +398,7 @@ def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> Geo
     self-loop equal to its community's ordered-pair internal weight, so total
     weight is conserved.  Meta-nodes sit at their community's center.
     """
-    if len(p.assignment) != g.num_nodes:
-        raise ValueError("partition does not match the graph")
+    check_assignment(g, p.assignment)
     kernel = g.kernel(metric)
     labels = p.assignment
     pair_weights: dict[tuple[int, int], float] = {}
@@ -414,10 +412,7 @@ def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> Geo
                 # ordered-pair internal total: each undirected edge lands here
                 # twice (once per endpoint row), existing loops once
                 pair_weights[(ci, ci)] = pair_weights.get((ci, ci), 0.0) + w
-    coords = {}
-    for c, members in enumerate(p.communities):
-        center = kernel.centroid(members)
-        coords[c] = (center.lat, center.lon)
+    coords = {c: kernel.centroid(members) for c, members in enumerate(p.communities)}
     return assemble_graph(range(p.num_communities), coords, pair_weights, allow_self_loops=True)
 
 

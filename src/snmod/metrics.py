@@ -9,11 +9,10 @@ pairs, so each undirected edge counts twice and a self-loop's stored weight
 counts once; this makes the single-community value exactly zero.
 """
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geograph import GeoGraph, summed
+from .geograph import GeoGraph, sorted_internal_ids, summed
 from .geometry import AGG_NAMES, METRIC_NAMES, GeoPoint
 
 
@@ -132,10 +131,15 @@ def community_term(sum_in: float, sum_deg: float, dispersion: float, two_m: floa
     return (sum_in - sum_deg * sum_deg / two_m) / (1.0 + dispersion) / two_m
 
 
+def check_assignment(g: GeoGraph, labels: Sequence) -> None:
+    """ValueError unless ``labels`` gives one community label per node of ``g``."""
+    if len(labels) != g.num_nodes:
+        raise ValueError(f"partition covers {len(labels)} nodes, graph has {g.num_nodes}")
+
+
 def community_qualities(g: GeoGraph, p: Partition, params: SNParams | None) -> list[float]:
     """Each community's term in community order; NG terms when params is None."""
-    if len(p.assignment) != g.num_nodes:
-        raise ValueError(f"partition covers {len(p.assignment)} nodes, graph has {g.num_nodes}")
+    check_assignment(g, p.assignment)
     if g.two_m == 0:
         return [0.0] * p.num_communities
     kernel = None if params is None else g.kernel(params.metric)
@@ -154,15 +158,9 @@ def sn_modularity(g: GeoGraph, p: Partition, params: SNParams) -> float:
 
 def _member_list(g: GeoGraph, members: Iterable[int]) -> list[int]:
     """The members sorted; ValueError unless they are distinct integer node ids of g."""
-    try:
-        ids = sorted(map(operator.index, members))
-    except TypeError:
-        raise ValueError("community members must be integer node ids") from None
+    ids = sorted_internal_ids(g, members)
     if not ids:
         raise ValueError("empty community")
-    for i in (ids[0], ids[-1]):
-        if not 0 <= i < g.num_nodes:
-            raise ValueError(f"unknown internal node id {i}")
     if len(set(ids)) != len(ids):
         raise ValueError("repeated community member")
     return ids

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .geograph import GeoGraph
 from .louvain import EngineConfig, run_louvain
-from .metrics import Partition, SNParams, sn_modularity
+from .metrics import Partition, SNParams, check_assignment, sn_modularity
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class SnicRun(NamedTuple):
 
 def partition_max_span(g: GeoGraph, p: Partition, metric: str = "haversine") -> float:
     """Largest pairwise member distance over all communities, at node resolution."""
-    if len(p.assignment) != g.num_nodes:
-        raise ValueError("partition does not match the graph")
+    check_assignment(g, p.assignment)
     return g.kernel(metric).max_span(p.communities)
 
 

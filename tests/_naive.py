@@ -1,8 +1,8 @@
 """Independent brute-force re-implementations used as test oracles.
 
 Everything here is written directly from the defining formulas, shares no
-code with the package (``naive_load`` only builds its result as a
-``GeoGraph``), and is deliberately O(n^2): modularity as a literal
+code with the package (``naive_load`` and ``naive_induced_subgraph``
+only build their results as a ``GeoGraph``), and is deliberately O(n^2): modularity as a literal
 double sum over ordered node pairs, dispersion from a freshly recomputed
 center, spans as exhaustive pair scans.
 """
@@ -128,6 +128,34 @@ def naive_load(edge_text, coord_text, coord_policy="mean", missing_policy="drop"
     points = [GeoPoint(float(coords[e][0]), 180.0 if coords[e][1] == -180.0 else float(coords[e][1]))
               for e in nodes]
     return GeoGraph(nodes, points, adj), tuple(degrees)
+
+
+def naive_induced_subgraph(g, keep):
+    """The node-induced subgraph built through a dict of external-id pairs.
+
+    The kept nodes are ordered by external id.  Every undirected edge of
+    ``g`` (u <= v, self-loops included) between two kept nodes is stored
+    under its (low, high) external ids; the rows are then rebuilt from that
+    dict and sorted.
+    """
+    from snmod.geograph import GeoGraph
+
+    keep_set = set(keep)
+    kept = sorted(keep_set, key=lambda i: g.external_ids[i])
+    ext = [g.external_ids[i] for i in kept]
+    pairs = {}
+    for u, row in enumerate(g.adj):
+        for v, w in row:
+            if u <= v and u in keep_set and v in keep_set:
+                eu, ev = g.external_ids[u], g.external_ids[v]
+                pairs[(min(eu, ev), max(eu, ev))] = w
+    index = {e: i for i, e in enumerate(ext)}
+    rows = [[] for _ in ext]
+    for (eu, ev), w in pairs.items():
+        rows[index[eu]].append((index[ev], w))
+        if eu != ev:
+            rows[index[ev]].append((index[eu], w))
+    return GeoGraph(ext, [g.nodes[i] for i in kept], [sorted(row) for row in rows])
 
 
 def _weight_lookup(g):

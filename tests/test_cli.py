@@ -7,13 +7,18 @@ from pathlib import Path
 import pytest
 
 from snmod import geometry
-from snmod.cli import main, read_partition_csv, run_sweep, SWEEP_HEADER, IMPROVEMENT_HEADER
+from snmod.cli import (
+    main, export_geojson, read_partition_csv, run_sweep, write_partition_csv,
+    SWEEP_HEADER, IMPROVEMENT_HEADER,
+)
 from snmod.geograph import load_graph
-from snmod.metrics import Partition, SNParams, ng_modularity, sn_modularity
+from snmod.louvain import LevelState, aggregate_graph
+from snmod.metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity
+from snmod.snic import partition_max_span
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
-from conftest import BRIDGED_EDGES
+from conftest import BRIDGED_EDGES, triangle_graph
 
 BRIDGED_EDGE_TEXT = "".join(f"{u}\t{v}\n" for u, v in BRIDGED_EDGES)
 COLOCATED_COORD_TEXT = "".join(
@@ -336,6 +341,24 @@ class TestExportGeojson:
         assert len(lines) == 7
         # exactly the bridge edge crosses communities
         assert sum(1 for f in lines if not f["properties"]["intra"]) == 1
+
+
+@pytest.mark.parametrize("labels", [(0, 0, 1, 1), (0, 1)])
+def test_partition_length_is_checked_before_any_file_is_written(tmp_path, labels):
+    g = triangle_graph()
+    p = Partition(labels)
+    calls = {
+        "community_qualities": lambda: community_qualities(g, p, None),
+        "aggregate_graph": lambda: aggregate_graph(g, p),
+        "partition_max_span": lambda: partition_max_span(g, p),
+        "LevelState": lambda: LevelState(g, None, assignment=labels),
+        "write_partition_csv": lambda: write_partition_csv(tmp_path / "p.csv", g, p),
+        "export_geojson": lambda: export_geojson(g, p, tmp_path / "g.geojson"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^partition covers {len(labels)} nodes, graph has 3$"):
+            call()
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSample:

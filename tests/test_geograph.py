@@ -1,4 +1,6 @@
 import io
+import math
+import random
 import re
 import struct
 import tracemalloc
@@ -16,8 +18,11 @@ from snmod.geograph import (
     load_graph,
     validate_graph,
 )
+from snmod.geometry import GeoPoint
+from snmod.louvain import aggregate_graph
+from snmod.metrics import Partition
 
-from _naive import naive_load
+from _naive import naive_induced_subgraph, naive_load
 
 TRIANGLE_EDGES = "0\t1\n1\t2\n0\t2\n"
 TRIANGLE_COORDS = "0,0,0\n1,0,0\n2,0,0\n"
@@ -248,6 +253,83 @@ def test_induced_subgraph_keeps_isolated_and_external_ids():
     assert sub.nodes[2].lat == 3.0
     with pytest.raises(GraphDataError):
         induced_subgraph(g, [99])
+
+
+# -- checks made when a graph is built ---------------------------------------
+
+PAIR_ROWS = [[(1, 1.0)], [(0, 1.0)]]
+
+
+@pytest.mark.parametrize(
+    "ids, points, match",
+    [
+        ([7], [GeoPoint(0, 0), GeoPoint(0, 1)], "unequal counts: 1 ids, 2 points, 2 rows"),
+        ([3, 1], [(0, 0), (0, 1)], "ascend strictly: 1 after 3"),
+        ([2, 2], [(0, 0), (0, 1)], "ascend strictly: 2 after 2"),
+        ([-1, 0], [(0, 0), (0, 1)], "negative node id -1"),
+        ([0, 1], [(95, 0), (0, 1)], "node 0: latitude 95.0"),
+        ([0, 4], [(0, 0), (0, math.nan)], "node 4: non-finite"),
+        ([0, 1], [(0, 0), (0, 181)], "node 1: longitude 181.0"),
+    ],
+    ids=["counts", "descending", "duplicate", "negative", "latitude", "nan", "longitude"],
+)
+def test_constructor_refuses_bad_ids_counts_and_points(ids, points, match):
+    with pytest.raises(GraphDataError, match=re.escape(match)):
+        GeoGraph(ids, points, PAIR_ROWS)
+
+
+def test_constructor_stores_float_points_with_lon_180():
+    g = GeoGraph([0, 1], [(0, -180), (1, 2)], PAIR_ROWS)
+    assert g.nodes == (GeoPoint(0.0, 180.0), GeoPoint(1.0, 2.0))
+    assert all(type(x) is float for p in g.nodes for x in p)
+    assert g.internal_id(1) == 1
+
+
+def test_assemble_graph_names_an_unknown_node():
+    with pytest.raises(GraphDataError, match=r"edge endpoint 1 is not a node"):
+        assemble_graph([0], {0: (0, 0)}, {(0, 1): 1.0})
+    with pytest.raises(GraphDataError, match=r"1 node\(s\) lack coordinates \(e.g. 1\)"):
+        assemble_graph([0, 1], {0: (0, 0)}, {})
+
+
+def test_induced_subgraph_refuses_non_integer_ids():
+    g = GeoGraph.from_edges([(0, 1)], {0: (0, 0), 1: (0, 1)})
+    for keep in ([0.9], ["0"], [0, 1.0]):
+        with pytest.raises(GraphDataError, match="integer"):
+            induced_subgraph(g, keep)
+    with pytest.raises(GraphDataError, match="unknown internal node id -1"):
+        induced_subgraph(g, [-1, 0])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=14),
+    edge_p=st.sampled_from([0.0, 0.2, 0.6]),
+    coarsen=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_induced_subgraph_equals_the_pair_dict_construction(seed, n, edge_p, coarsen, data):
+    rng = random.Random(seed)
+    # sparse external ids, so relabelling is exercised; isolated nodes stay
+    ids = sorted(rng.sample(range(10 * n), n))
+    coords = {e: (rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)) for e in ids}
+    edges = [
+        (u, v, rng.choice([1.0, 0.5, 2.25, 1e-3]))
+        for u in ids for v in ids if u < v and rng.random() < edge_p
+    ]
+    g = GeoGraph.from_edges(edges, coords, extra_nodes=ids)
+    if coarsen:
+        # meta-nodes carry self-loops
+        labels = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+        g = aggregate_graph(g, Partition.from_assignment(labels))
+    keep = data.draw(st.lists(st.integers(min_value=0, max_value=g.num_nodes - 1),
+                              max_size=2 * g.num_nodes))
+    got = induced_subgraph(g, keep)
+    want = naive_induced_subgraph(g, keep)
+    assert got == want
+    assert _bits(got) == _bits(want)
+    assert (got.degrees, got.two_m, got.num_edges) == (want.degrees, want.two_m, want.num_edges)
 
 
 # -- streamed ingestion ------------------------------------------------------
