@@ -4,7 +4,6 @@ from .geograph import (
     GeoGraph,
     GraphDataError,
     GraphFormatError,
-    assemble_graph,
     induced_subgraph,
     load_graph,
     validate_graph,

@@ -16,7 +16,7 @@ import bisect
 import math
 import operator
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .geometry import GeoKernel, GeoPoint, finish_centroid, unit_vector
 
@@ -51,15 +51,16 @@ class GeoGraph:
     ``(j, w)`` over node ``i``'s neighbours.  The constructor is the one
     place the node rules are checked: it raises :class:`GraphDataError` when
     the three lengths differ, an id is negative, the ids do not ascend
-    strictly, or a point is non-finite or out of range.  It stores each
-    point as ``GeoPoint(float(lat), lon)``, longitude -180 as 180.  The rows
-    are taken as given; :func:`validate_graph` checks them.
+    strictly, a point is non-finite or out of range, or the total weight
+    overflows.  It stores each point as ``GeoPoint(float(lat), lon)``,
+    longitude -180 as 180.  The rows are otherwise taken as given;
+    :func:`validate_graph` checks them.
 
     Everything else is derived from the rows.  ``degrees[i]`` adds row
     ``i``'s weights left to right; ``two_m``, the total weight over ordered
     node pairs, adds the degrees in node order.  Self-loops are rejected by
     the public loaders; the Louvain coarsening step builds graphs that carry
-    them via :func:`assemble_graph`, where a loop's stored weight is its
+    them straight from their rows, where a loop's stored weight is its
     ordered-pair total and counts once toward the node's degree.
 
     ``num_edges`` counts undirected edges, a self-loop once.
@@ -93,6 +94,8 @@ class GeoGraph:
         self.nodes = tuple(points)
         self.degrees = tuple(summed(w for _, w in row) for row in self.adj)
         self.two_m = summed(self.degrees)
+        if not math.isfinite(self.two_m):
+            raise GraphDataError(f"total weight two_m = {self.two_m} is not finite")
         self.num_edges = sum(1 for u, row in enumerate(self.adj) for v, _ in row if u <= v)
         self._kernels: dict[str, GeoKernel] = {}
 
@@ -109,8 +112,8 @@ class GeoGraph:
         """Build a graph from (u, v[, w]) tuples and a node -> (lat, lon) map.
 
         Duplicate undirected edges (including reversed duplicates) merge by
-        summing weights.  Nodes are edge endpoints plus ``extra_nodes``;
-        every node must have coordinates.
+        summing weights; a self-loop raises.  Nodes are edge endpoints plus
+        ``extra_nodes``; every node must have coordinates.
         """
         pair_weights: dict[tuple[int, int], float] = {}
         for edge in edges:
@@ -175,52 +178,6 @@ class GeoGraph:
         return f"GeoGraph(n={self.num_nodes}, m={self.num_edges}, two_m={self.two_m})"
 
 
-def assemble_graph(
-    external_ids: Sequence[int],
-    coords: Mapping[int, tuple],
-    pair_weights: Mapping[tuple[int, int], float],
-    *,
-    allow_self_loops: bool = False,
-) -> GeoGraph:
-    """Assemble a graph from prepared parts.
-
-    ``coords`` maps each of ``external_ids`` to its ``(lat, lon)``, which
-    :class:`GeoGraph` checks; ``pair_weights`` maps external (u, v) with
-    u <= v to merged positive weights.  Coarsened graphs pass
-    ``allow_self_loops=True``; a loop weight is interpreted as the
-    ordered-pair internal total and enters the degree once.
-    """
-    ext = list(external_ids)
-    try:
-        nodes = [coords[e] for e in ext]
-    except KeyError:
-        missing = [str(e) for e in ext if e not in coords]
-        raise GraphDataError(
-            f"{len(missing)} node(s) lack coordinates (e.g. {', '.join(missing[:5])})"
-        ) from None
-    index = {e: i for i, e in enumerate(ext)}
-    rows: list[list[tuple[int, float]]] = [[] for _ in ext]
-    try:
-        for (u, v), w in pair_weights.items():
-            w = float(w)
-            if not math.isfinite(w) or w <= 0:
-                raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
-            if u == v and not allow_self_loops:
-                raise GraphDataError(f"self-loop edge on node {u}")
-            iu = index[u]
-            iv = index[v]
-            if iu == iv:
-                rows[iu].append((iu, w))
-            else:
-                rows[iu].append((iv, w))
-                rows[iv].append((iu, w))
-    except KeyError as exc:
-        raise GraphDataError(f"edge endpoint {exc.args[0]} is not a node") from None
-    for row in rows:
-        row.sort()
-    return GeoGraph(ext, nodes, rows)
-
-
 def _merge_edge(pair_weights: dict, u: int, v: int, w: float) -> None:
     """Add an undirected edge's weight under its (low, high) key.
 
@@ -238,21 +195,38 @@ def _build_graph(
     missing_policy: str,
     extra_nodes: Iterable[int] = (),
 ) -> GeoGraph:
-    """Assemble the graph over the edge endpoints plus ``extra_nodes``.
+    """The graph over the edge endpoints plus ``extra_nodes``, by ascending id.
 
-    Nodes without coordinates raise under ``missing_policy='error'`` or are
-    removed together with their incident edges under ``'drop'``.
+    ``pair_weights`` maps external (u, v), u <= v, to merged positive
+    weights; a self-loop raises.  Nodes without coordinates raise under
+    ``missing_policy='error'`` or are removed together with their incident
+    edges under ``'drop'``.
     """
     node_set = {e for pair in pair_weights for e in pair}
     node_set.update(extra_nodes)
+    ext = sorted(node_set)
     if missing_policy == "drop":
-        gone = {e for e in node_set if e not in coords}
-        if gone:
-            node_set -= gone
-            pair_weights = {
-                (u, v): w for (u, v), w in pair_weights.items() if u not in gone and v not in gone
-            }
-    return assemble_graph(sorted(node_set), coords, pair_weights)
+        ext = [e for e in ext if e in coords]
+    try:
+        points = [coords[e] for e in ext]
+    except KeyError:
+        missing = [str(e) for e in ext if e not in coords]
+        raise GraphDataError(
+            f"{len(missing)} node(s) lack coordinates (e.g. {', '.join(missing[:5])})"
+        ) from None
+    index = {e: i for i, e in enumerate(ext)}
+    rows: list[list[tuple[int, float]]] = [[] for _ in ext]
+    for (u, v), w in pair_weights.items():
+        if u == v:
+            raise GraphDataError(f"self-loop edge on node {u}")
+        iu = index.get(u)
+        iv = index.get(v)
+        if iu is not None and iv is not None:  # else an endpoint was dropped
+            rows[iu].append((iv, w))
+            rows[iv].append((iu, w))
+    for row in rows:
+        row.sort()
+    return GeoGraph(ext, points, rows)
 
 
 def sorted_internal_ids(g: GeoGraph, ids: Iterable[int]) -> list[int]:

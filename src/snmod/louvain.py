@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geograph import GeoGraph, assemble_graph
+from .geograph import GeoGraph
 from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
 # Relative slack on each distance that the O(1) bounds read.  Every distance
@@ -401,19 +401,26 @@ def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> Geo
     check_assignment(g, p.assignment)
     kernel = g.kernel(metric)
     labels = p.assignment
-    pair_weights: dict[tuple[int, int], float] = {}
-    for i in range(g.num_nodes):
+    # each pair's weight is added on its lower label's row, in node order
+    upper: list[dict[int, float]] = [{} for _ in range(p.num_communities)]
+    for i, row in enumerate(g.adj):
         ci = labels[i]
-        for j, w in g.adj[i]:
+        acc = upper[ci]
+        for j, w in row:
             cj = labels[j]
-            if ci < cj:
-                pair_weights[(ci, cj)] = pair_weights.get((ci, cj), 0.0) + w
-            elif ci == cj:
-                # ordered-pair internal total: each undirected edge lands here
-                # twice (once per endpoint row), existing loops once
-                pair_weights[(ci, ci)] = pair_weights.get((ci, ci), 0.0) + w
-    coords = {c: kernel.centroid(members) for c, members in enumerate(p.communities)}
-    return assemble_graph(range(p.num_communities), coords, pair_weights, allow_self_loops=True)
+            if ci <= cj:
+                # a loop gets the ordered-pair internal total: each internal
+                # edge lands twice (once per endpoint row), existing loops once
+                acc[cj] = acc.get(cj, 0.0) + w
+    rows = [list(acc.items()) for acc in upper]
+    for c, acc in enumerate(upper):
+        for d, w in acc.items():
+            if d != c:
+                rows[d].append((c, w))
+    for row in rows:
+        row.sort()
+    centres = [kernel.centroid(members) for members in p.communities]
+    return GeoGraph(range(p.num_communities), centres, rows)
 
 
 def run_louvain(

@@ -1,10 +1,11 @@
 """Independent brute-force re-implementations used as test oracles.
 
 Everything here is written directly from the defining formulas, shares no
-code with the package (``naive_load`` and ``naive_induced_subgraph``
-only build their results as a ``GeoGraph``), and is deliberately O(n^2): modularity as a literal
-double sum over ordered node pairs, dispersion from a freshly recomputed
-center, spans as exhaustive pair scans.
+code with the package (``naive_load``, ``naive_induced_subgraph`` and
+``naive_aggregate`` only build their results as a ``GeoGraph``), and is
+deliberately O(n^2): modularity as a literal double sum over ordered node
+pairs, dispersion from a freshly recomputed center, spans as exhaustive
+pair scans.
 """
 
 import math
@@ -29,21 +30,28 @@ def naive_planar(a, b):
 def naive_center(points, metric="haversine"):
     """Mean location of a point list.
 
-    On the plane, the coordinate mean.  On the sphere, the unit vectors are
-    summed in order and the sum is normalized; the longitude is read from the
-    raw sums.  Points whose unit vectors are all equal are centred on the
-    first point, as is a set whose mean vector is shorter than 1e-9 (e.g. an
-    antipodal pair).
+    Points whose vectors are all equal are centred on the first point.  On
+    the plane, a point's vector is its (lat, lon), and the centre is their
+    mean, added in order.  On the sphere, the unit vectors are summed in
+    order and the sum is normalized; the longitude is read from the raw
+    sums, and a set whose mean vector is shorter than 1e-9 (e.g. an
+    antipodal pair) is centred on its first point.
     """
     if metric == "planar":
-        n = len(points)
-        return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
-    vecs = []
-    for lat, lon in points:
-        phi, lam = math.radians(lat), math.radians(lon)
-        vecs.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
+        vecs = [(float(lat), float(lon)) for lat, lon in points]
+    else:
+        vecs = []
+        for lat, lon in points:
+            phi, lam = math.radians(lat), math.radians(lon)
+            vecs.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
     if all(v == vecs[0] for v in vecs):
         return points[0]
+    if metric == "planar":
+        x = y = 0.0
+        for vx, vy in vecs:
+            x += vx
+            y += vy
+        return (x / len(points), y / len(points))
     x = y = z = 0.0
     for vx, vy, vz in vecs:
         x += vx
@@ -156,6 +164,38 @@ def naive_induced_subgraph(g, keep):
         if eu != ev:
             rows[index[ev]].append((index[eu], w))
     return GeoGraph(ext, [g.nodes[i] for i in kept], [sorted(row) for row in rows])
+
+
+def naive_aggregate(g, p, metric="haversine"):
+    """The coarsened graph built through a dict of community-label pairs.
+
+    Rows are visited in node order and each row in its own order; an entry
+    (i, j, w) whose labels a = label(i) <= b = label(j) adds w to the dict
+    entry (a, b), started at 0.0.  So a community's loop gets each internal
+    edge twice and each existing loop once.  The rows are rebuilt from the
+    dict and sorted, and meta-node ``c`` sits at the ``naive_center`` of
+    community ``c``'s points in node order.
+    """
+    from snmod.geograph import GeoGraph
+
+    labels = p.assignment
+    k = max(labels, default=-1) + 1
+    pairs = {}
+    for i, row in enumerate(g.adj):
+        for j, w in row:
+            a, b = labels[i], labels[j]
+            if a <= b:
+                pairs[(a, b)] = pairs.get((a, b), 0.0) + w
+    rows = [[] for _ in range(k)]
+    for (a, b), w in pairs.items():
+        rows[a].append((b, w))
+        if a != b:
+            rows[b].append((a, w))
+    centres = [
+        naive_center([g.nodes[i] for i in range(g.num_nodes) if labels[i] == c], metric)
+        for c in range(k)
+    ]
+    return GeoGraph(range(k), centres, [sorted(row) for row in rows])
 
 
 def _weight_lookup(g):

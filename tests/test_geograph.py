@@ -13,7 +13,6 @@ from snmod.geograph import (
     GeoGraph,
     GraphDataError,
     GraphFormatError,
-    assemble_graph,
     induced_subgraph,
     load_graph,
     validate_graph,
@@ -173,17 +172,38 @@ def test_degrees_and_two_m_add_left_to_right():
     assert star.two_m == 2.0
 
 
-def test_rows_alone_give_the_degrees_assemble_graph_gives():
-    coords = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
-    built = assemble_graph(
-        [0, 1, 2], coords, {(0, 0): 6.0, (0, 1): 1.5}, allow_self_loops=True
+def test_a_loop_enters_the_degree_once():
+    # a triangle (internal total 6.0), a 1.5 bridge and an isolated node
+    g = GeoGraph.from_edges(
+        [(0, 1), (1, 2), (0, 2), (2, 3, 1.5)], {i: (0, i) for i in range(5)}, extra_nodes=[4]
     )
-    raw = GeoGraph([0, 1, 2], built.nodes, [[(0, 6.0), (1, 1.5)], [(0, 1.5)], []])
-    assert raw == built
-    assert (raw.degrees, raw.two_m, raw.num_edges) == (built.degrees, built.two_m, built.num_edges)
+    coarse = aggregate_graph(g, Partition.from_assignment([0, 0, 0, 1, 2]))
+    raw = GeoGraph([0, 1, 2], coarse.nodes, [[(0, 6.0), (1, 1.5)], [(0, 1.5)], []])
+    assert raw == coarse
+    assert (raw.degrees, raw.two_m, raw.num_edges) == (coarse.degrees, coarse.two_m, coarse.num_edges)
     assert raw.degrees == (7.5, 1.5, 0.0)
+    assert raw.two_m == 9.0
     assert type(raw.degrees[2]) is float  # an isolated node's degree
     assert raw.num_edges == 2
+
+
+def test_a_self_loop_is_refused_by_both_loaders():
+    with pytest.raises(GraphDataError, match="self-loop edge on node 1"):
+        GeoGraph.from_edges([(0, 1), (1, 1, 2.0)], {0: (0, 0), 1: (0, 1)})
+    with pytest.raises(GraphDataError, match="edge line 2: self-loop on node 1"):
+        load("0\t1\n1\t1\n", "0,0,0\n1,0,1\n")
+
+
+def test_an_overflowing_total_weight_is_refused():
+    coords = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
+    # each weight is finite; node 0's degree and two_m are not
+    for edges in ([(0, 1, 1e308), (0, 2, 1e308)], [(0, 1, 1e308), (1, 0, 1e308)]):
+        with pytest.raises(GraphDataError, match=r"two_m = inf is not finite"):
+            GeoGraph.from_edges(edges, coords)
+    with pytest.raises(GraphDataError, match=r"two_m = inf is not finite"):
+        load("0\t1\t1e308\n0\t2\t1e308\n", "0,0,0\n1,0,1\n2,1,0\n")
+    with pytest.raises(GraphDataError, match=r"two_m = nan is not finite"):
+        GeoGraph([0, 1], [(0, 0), (0, 1)], [[(1, math.inf)], [(0, -math.inf)]])
 
 
 def test_internal_id_of_unknown_ids():
@@ -233,16 +253,6 @@ def test_validate_graph_reports_violations():
     assert validate_graph(loopy, allow_self_loops=True) == []
 
 
-def test_assemble_graph_self_loop_handling():
-    g = assemble_graph(
-        [0, 1], {0: (0, 0), 1: (0, 0)}, {(0, 0): 6.0, (0, 1): 1.0}, allow_self_loops=True
-    )
-    assert g.degrees[0] == 7.0  # loop counts once
-    assert g.two_m == 8.0
-    with pytest.raises(GraphDataError):
-        assemble_graph([0], {0: (0, 0)}, {(0, 0): 1.0})
-
-
 def test_induced_subgraph_keeps_isolated_and_external_ids():
     g = GeoGraph.from_edges(
         [(0, 1), (1, 2), (2, 3)], {i: (float(i), 0.0) for i in range(4)}
@@ -285,11 +295,12 @@ def test_constructor_stores_float_points_with_lon_180():
     assert g.internal_id(1) == 1
 
 
-def test_assemble_graph_names_an_unknown_node():
-    with pytest.raises(GraphDataError, match=r"edge endpoint 1 is not a node"):
-        assemble_graph([0], {0: (0, 0)}, {(0, 1): 1.0})
-    with pytest.raises(GraphDataError, match=r"1 node\(s\) lack coordinates \(e.g. 1\)"):
-        assemble_graph([0, 1], {0: (0, 0)}, {})
+def test_missing_coordinates_are_named_in_numeric_order():
+    message = r"2 node\(s\) lack coordinates \(e.g. 9, 10\)"
+    with pytest.raises(GraphDataError, match=message):
+        GeoGraph.from_edges([(10, 2), (9, 2)], {2: (0, 0)})
+    with pytest.raises(GraphDataError, match=message):
+        load("10\t2\n9\t2\n", "2,0,0\n", missing_policy="error")
 
 
 def test_induced_subgraph_refuses_non_integer_ids():

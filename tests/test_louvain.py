@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from snmod import louvain
 from snmod.geograph import GeoGraph
-from snmod.geometry import GeoKernel
+from snmod.geometry import METRIC_NAMES, GeoKernel
 from snmod.louvain import (
     EngineConfig,
     LevelState,
@@ -35,6 +36,7 @@ from conftest import (
     random_geo_graph,
     random_partition,
 )
+from _naive import naive_aggregate
 
 seeds = st.integers(min_value=0, max_value=10_000)
 TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
@@ -186,6 +188,38 @@ class TestAggregateGraph:
         meta = aggregate_graph(g, p)
         coarse = ng_modularity(meta, Partition.singletons(meta.num_nodes))
         assert coarse == pytest.approx(ng_modularity(g, p), abs=1e-12)
+
+    @given(
+        seed=seeds,
+        n=st.integers(min_value=1, max_value=14),
+        edge_p=st.sampled_from([0.0, 0.2, 0.6]),
+        sites=st.integers(min_value=1, max_value=4),
+        metric=st.sampled_from(METRIC_NAMES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pair_dict_construction(self, seed, n, edge_p, sites, metric):
+        rng = random.Random(seed)
+        # few sites, so that some communities are co-located
+        pool = [(rng.uniform(-80.0, 80.0), rng.uniform(-170.0, 170.0)) for _ in range(sites)]
+        coords = {i: rng.choice(pool) for i in range(n)}
+        edges = [
+            (u, v, rng.uniform(0.5, 2.0)) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < edge_p
+        ]
+        g = GeoGraph.from_edges(edges, coords, extra_nodes=range(n))
+        # the second coarsening starts from a graph with loops
+        for _ in range(2):
+            p = random_partition(rng, g.num_nodes)
+            got = aggregate_graph(g, p, metric)
+            want = naive_aggregate(g, p, metric)
+            assert got == want
+            assert _bits(got) == _bits(want)
+            assert (got.degrees, got.two_m, got.num_edges) == (want.degrees, want.two_m, want.num_edges)
+            g = got
+
+
+def _bits(g):
+    return [struct.pack("<dd", p.lat, p.lon) for p in g.nodes]
 
 
 class TestRunLouvain:

@@ -16,8 +16,9 @@ TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SnicConfig(SNParams(1.0), max_iters=0)
+    for bad in (0, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            SnicConfig(SNParams(1.0), max_iters=bad)
 
 
 class TestPartitionMaxSpan:
