@@ -165,15 +165,21 @@ def export_geojson(g: GeoGraph, p: Partition, path) -> None:
         fh.write("\n")
 
 
+def _check_csv_header(path, header: str) -> bool:
+    """Return whether ``path`` holds data; raise if its first line is not ``header``."""
+    path = Path(path)
+    if not (path.exists() and path.stat().st_size > 0):
+        return False
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+    if first != header:
+        raise GraphDataError(f"{path} exists with a different header; refusing to append")
+    return True
+
+
 def _append_csv(path, header: str, rows: list[str]) -> None:
     """Append rows, writing the header only for a new or empty file."""
-    path = Path(path)
-    exists = path.exists() and path.stat().st_size > 0
-    if exists:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-        if first != header:
-            raise GraphDataError(f"{path} exists with a different header; refusing to append")
+    exists = _check_csv_header(path, header)
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if not exists:
             fh.write(header + "\n")
@@ -184,8 +190,11 @@ def _append_csv(path, header: str, rows: list[str]) -> None:
 # -- algorithm drivers -------------------------------------------------------
 
 
-def run_algorithm(g, algo, params: SNParams, seed: int, max_iters: int):
-    """Run one algorithm; returns (partition, seconds, iterations, trace|None)."""
+def run_algorithm(g, algo, params: SNParams | None, seed: int, max_iters: int):
+    """Run one algorithm; returns (partition, seconds, iterations, trace|None).
+
+    ``params`` is unused by ``louvain``, which optimizes plain modularity.
+    """
     engine = EngineConfig(seed=seed)
     trace = None
     started = time.perf_counter()
@@ -207,21 +216,20 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
     """Full sweep grid; returns (rows, improvement_rows, traces).
 
     The plain optimizer ignores sigma, so it runs once per (dataset, seed)
-    and its partition is scored at every sigma.
+    and its partition is scored at every sigma.  SNIC's first iteration is
+    the unconstrained louvain-sn run, so when both are swept the louvain-sn
+    row is read from that iteration, with its optimizer seconds.
     """
     rows = []
     improvements = []
     traces = {}
     for name, g in datasets:
         for seed in seeds:
-            base_partition, base_seconds, _, _ = run_algorithm(
-                g, "louvain", SNParams(sigmas[0], agg, metric), seed, max_iters
-            )
+            base_partition, base_seconds, _, _ = run_algorithm(g, "louvain", None, seed, max_iters)
             base_ng = ng_modularity(g, base_partition)
             base_sn = {}
             for sigma in sigmas:
-                params = SNParams(sigma, agg, metric)
-                base_sn[sigma] = sn_modularity(g, base_partition, params)
+                base_sn[sigma] = sn_modularity(g, base_partition, SNParams(sigma, agg, metric))
                 if "louvain" in algorithms:
                     rows.append(
                         f"{name},{sigma:.12g},louvain,{seed},{base_sn[sigma]:.12g},"
@@ -229,20 +237,24 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
                     )
             for sigma in sigmas:
                 params = SNParams(sigma, agg, metric)
+                results = {}
+                if "snic" in algorithms:
+                    results["snic"] = run_algorithm(g, "snic", params, seed, max_iters)
+                    traces[(name, sigma, seed)] = results["snic"][3]
+                    first = results["snic"][3].entries[0]
+                    results["louvain-sn"] = (first.partition, first.seconds, 1, None)
+                elif "louvain-sn" in algorithms:
+                    results["louvain-sn"] = run_algorithm(g, "louvain-sn", params, seed, max_iters)
                 for algo in algorithms:
                     if algo == "louvain":
                         continue
-                    partition, seconds, iterations, trace = run_algorithm(
-                        g, algo, params, seed, max_iters
-                    )
+                    partition, seconds, iterations, _ = results[algo]
                     sn = sn_modularity(g, partition, params)
                     ng = ng_modularity(g, partition)
                     rows.append(
                         f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng:.12g},"
                         f"{seconds:.6f},{iterations}"
                     )
-                    if trace is not None:
-                        traces[(name, sigma, seed)] = trace
                     base = base_sn[sigma]
                     abs_gain = sn - base
                     pct = f"{100.0 * abs_gain / abs(base):.12g}" if abs(base) > 1e-12 else ""
@@ -262,13 +274,15 @@ def _load(args) -> GeoGraph:
 
 
 def cmd_detect(args) -> int:
+    if args.trace and args.algo != "snic":
+        raise ValueError(f"--trace needs --algo snic, not {args.algo!r}")
     g = _load(args)
     params = SNParams(args.sigma, args.agg, args.metric)
     partition, seconds, _, trace = run_algorithm(
         g, args.algo, params, args.seed, args.max_iters
     )
     write_partition_csv(args.out, g, partition)
-    if args.trace and trace is not None:
+    if args.trace:
         write_trace_csv(args.trace, trace)
     ng = ng_modularity(g, partition)
     sn = sn_modularity(g, partition, params)
@@ -330,6 +344,12 @@ def cmd_sweep(args) -> int:
     if not sigmas or not algorithms or not seeds:
         raise ValueError("sigmas, algos and seeds must be non-empty")
 
+    improvements_path = args.improvements or str(
+        Path(args.out).with_name(Path(args.out).stem + "_improvements.csv")
+    )
+    _check_csv_header(args.out, SWEEP_HEADER)
+    _check_csv_header(improvements_path, IMPROVEMENT_HEADER)
+
     datasets = []
     if args.synthetic and (args.edges or args.coords):
         raise ValueError("provide either --edges/--coords or --synthetic, not both")
@@ -347,9 +367,6 @@ def cmd_sweep(args) -> int:
         datasets, sigmas, algorithms, seeds, args.agg, args.metric, args.max_iters
     )
     _append_csv(args.out, SWEEP_HEADER, rows)
-    improvements_path = args.improvements or str(
-        Path(args.out).with_name(Path(args.out).stem + "_improvements.csv")
-    )
     _append_csv(improvements_path, IMPROVEMENT_HEADER, improvements)
     if args.trace_dir:
         write_sweep_traces(args.trace_dir, traces)

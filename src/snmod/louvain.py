@@ -71,6 +71,8 @@ class EngineConfig:
     def __post_init__(self):
         if not self.join_constraint_km > 0:
             raise ValueError("join_constraint_km must be positive (inf = unbounded)")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise ValueError(f"seed must be None or an integer, got {self.seed!r}")
 
 
 class _Community:

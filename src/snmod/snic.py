@@ -9,7 +9,7 @@ partition seen anywhere in the trace is returned.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geograph import GeoGraph
@@ -28,17 +28,23 @@ class SnicConfig:
     def __post_init__(self):
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        EngineConfig(seed=self.seed)  # validates the seed
 
 
 @dataclass(frozen=True)
 class SnicIteration:
-    """One iteration record; constraint_km is inf on the first iteration."""
+    """One iteration record; constraint_km is inf on the first iteration.
+
+    ``partition`` is the optimizer's result that ``sn_modularity`` scores;
+    the first iteration's is the unconstrained spatially-near run.
+    """
 
     iteration: int
     constraint_km: float
     sn_modularity: float
     span_km: float
     seconds: float
+    partition: Partition = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,12 @@ def partition_max_span(g: GeoGraph, p: Partition, metric: str = "haversine") -> 
 
 
 def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
-    """Run the iterated-constraint heuristic; returns (best partition, trace)."""
+    """Run the iterated-constraint heuristic; returns (best partition, trace).
+
+    The best partition is that of the first entry with the highest score.
+    """
     constraint = math.inf
     entries: list[SnicIteration] = []
-    best_partition: Partition | None = None
-    best_score = -math.inf
     for iteration in range(1, cfg.max_iters + 1):
         engine = EngineConfig(join_constraint_km=constraint, seed=cfg.seed)
         started = time.perf_counter()
@@ -78,11 +85,9 @@ def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
         seconds = time.perf_counter() - started
         score = sn_modularity(g, partition, cfg.params)
         span = partition_max_span(g, partition, cfg.params.metric)
-        entries.append(SnicIteration(iteration, constraint, score, span, seconds))
-        if score > best_score:
-            best_score = score
-            best_partition = partition
+        entries.append(SnicIteration(iteration, constraint, score, span, seconds, partition))
         if span == 0.0 or span >= constraint:
             break
         constraint = span
-    return SnicRun(best_partition, SnicTrace(tuple(entries)))
+    best = max(entries, key=lambda e: e.sn_modularity)  # max keeps the first of equals
+    return SnicRun(best.partition, SnicTrace(tuple(entries)))

@@ -2,19 +2,20 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from snmod import geometry
+from snmod import cli, geometry, louvain, snic
 from snmod.cli import (
     main, export_geojson, read_partition_csv, run_sweep, write_partition_csv,
     SWEEP_HEADER, IMPROVEMENT_HEADER,
 )
 from snmod.geograph import load_graph
-from snmod.louvain import LevelState, aggregate_graph
+from snmod.louvain import EngineConfig, LevelState, aggregate_graph, run_louvain
 from snmod.metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity
-from snmod.snic import partition_max_span
+from snmod.snic import SnicConfig, partition_max_span, run_snic
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.synth import SyntheticSpec, planted_geo_clusters
 
@@ -26,6 +27,7 @@ COLOCATED_COORD_TEXT = "".join(
 ) + "".join(f"{i},0,0.9\n" for i in range(3, 6))
 ZERO_COORD_TEXT = "".join(f"{i},0,0\n" for i in range(6))
 TRIANGLES_PARTITION = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
+SWEEP_SIGMAS = (300.0, 5000.0)
 
 NO_NUMPY_RUN = """
 import sys
@@ -98,6 +100,23 @@ def test_detect_snic_on_colocated_clusters(fixture_files, tmp_path, capsys):
     assert rc == 0
     assert "sn_modularity=0.357143" in capsys.readouterr().out
     assert trace.read_text().splitlines()[0] == "iteration,constraint_km,sn_modularity,span_km,seconds"
+
+
+@pytest.mark.parametrize("algo", ["louvain", "louvain-sn"])
+def test_detect_refuses_trace_without_snic(fixture_files, tmp_path, capsys, monkeypatch, algo):
+    def no_load(args):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    edges, coords = fixture_files
+    out, trace = tmp_path / "p.csv", tmp_path / "trace.csv"
+    rc = main([
+        "detect", "--edges", str(edges), "--coords", str(coords),
+        "--algo", algo, "--sigma", "1", "--out", str(out), "--trace", str(trace),
+    ])
+    assert rc == 2
+    assert "--trace needs --algo snic" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
 
 
 def test_detect_summary_matches_library(fixture_files, tmp_path, capsys):
@@ -247,6 +266,38 @@ class TestScore:
         assert rc == 2
 
 
+def _sweep_datasets():
+    specs = (SyntheticSpec(n_nodes=60, n_clusters=3, p_intra=0.3, p_inter=0.02,
+                           spacing_km=800.0, spread_km=5.0, seed=gs) for gs in (0, 1))
+    return [(f"s{k}", planted_geo_clusters(spec)[0]) for k, spec in enumerate(specs)]
+
+
+def _separate_run_rows(datasets, algorithms, seeds, max_iters):
+    """Sweep rows, without ``seconds``, from one library call per result."""
+    rows = []
+
+    def row(name, sigma, algo, seed, g, p, iterations):
+        sn = sn_modularity(g, p, SNParams(sigma))
+        rows.append(f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng_modularity(g, p):.12g},{iterations}")
+
+    for name, g in datasets:
+        for seed in seeds:
+            base = run_louvain(g, None, EngineConfig(seed=seed))
+            for sigma in SWEEP_SIGMAS:
+                if "louvain" in algorithms:
+                    row(name, sigma, "louvain", seed, g, base, 1)
+            for sigma in SWEEP_SIGMAS:
+                for algo in algorithms:
+                    if algo == "louvain-sn":
+                        row(name, sigma, algo, seed, g,
+                            run_louvain(g, SNParams(sigma), EngineConfig(seed=seed)), 1)
+                    elif algo == "snic":
+                        cfg = SnicConfig(SNParams(sigma), max_iters=max_iters, seed=seed)
+                        p, trace = run_snic(g, cfg)
+                        row(name, sigma, algo, seed, g, p, len(trace.entries))
+    return rows
+
+
 class TestSweep:
     def test_zero_distance_dataset_sn_equals_ng(self, tmp_path):
         edges = tmp_path / "e.tsv"
@@ -288,6 +339,49 @@ class TestSweep:
         assert n2 == 2 * n1 - 1  # appended, header written once
         out.write_text("something,else\n1,2\n")
         assert main(args) == 2
+
+    def test_foreign_header_in_either_file_writes_neither(self, tmp_path, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli, "planted_geo_clusters", no_build)
+        out = tmp_path / "s.csv"
+        improvements = tmp_path / "s_improvements.csv"
+        args = ["sweep", "--synthetic", "nodes=60,clusters=3", "--sigmas", "300", "--out", str(out)]
+        improvements.write_text("x,y\n")
+        assert main(args) == 2
+        assert not out.exists()
+        assert improvements.read_text() == "x,y\n"
+        improvements.unlink()
+        out.write_text("x,y\n")
+        assert main(args) == 2
+        assert out.read_text() == "x,y\n"
+        assert not improvements.exists()
+
+    @pytest.mark.parametrize("algorithms", [("louvain", "louvain-sn", "snic"), ("louvain-sn",)])
+    def test_rows_equal_separate_runs(self, algorithms):
+        datasets = _sweep_datasets()
+        rows, _, _ = run_sweep(datasets, SWEEP_SIGMAS, algorithms, (0, 1), "max", "haversine", 4)
+        without_seconds = [",".join(r.split(",")[:6] + r.split(",")[7:]) for r in rows]
+        assert without_seconds == _separate_run_rows(datasets, algorithms, (0, 1), 4)
+
+    def test_snic_reuse_runs_louvain_sn_once(self, monkeypatch):
+        real = louvain.run_louvain
+        unconstrained = Counter()
+
+        def counting(g, params=None, cfg=EngineConfig()):
+            if params is not None and math.isinf(cfg.join_constraint_km):
+                unconstrained[(id(g), params.sigma, cfg.seed)] += 1
+            return real(g, params, cfg)
+
+        monkeypatch.setattr(cli, "run_louvain", counting)
+        monkeypatch.setattr(snic, "run_louvain", counting)
+        datasets = _sweep_datasets()
+        run_sweep(datasets, SWEEP_SIGMAS, ("louvain", "louvain-sn", "snic"), (0, 1),
+                  "max", "haversine", 4)
+        grid = {(id(g), sigma, seed) for _, g in datasets for sigma in SWEEP_SIGMAS for seed in (0, 1)}
+        assert set(unconstrained) == grid
+        assert set(unconstrained.values()) == {1}
 
     def test_synthetic_sweep_with_traces(self, tmp_path):
         out = tmp_path / "sweep.csv"

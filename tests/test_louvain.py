@@ -45,8 +45,12 @@ TRIANGLES = Partition.from_communities([[0, 1, 2], [3, 4, 5]], 6)
 class TestConfigTypes:
     def test_engine_config_validation(self):
         EngineConfig()
+        EngineConfig(seed=7)
         with pytest.raises(ValueError):
             EngineConfig(join_constraint_km=0.0)
+        for bad in (1.5, "7", [1], True):
+            with pytest.raises(ValueError, match="seed must be None or an integer"):
+                EngineConfig(seed=bad)
 
 
 class TestMoveGain:

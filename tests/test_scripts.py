@@ -117,6 +117,13 @@ def test_sigma_sweep_smoke(tmp_path):
         rows = (out / "traces" / name).read_text().splitlines()
         assert rows[0] == "iteration,constraint_km,sn_modularity,span_km,seconds"
         assert 2 <= len(rows) <= 3
+    # each louvain-sn row is SNIC's iteration 1 at the same sigma and seed
+    for row in sweep[1:]:
+        dataset, sigma, algo, seed, sn = row.split(",")[:5]
+        if algo == "louvain-sn":
+            trace = out / "traces" / f"trace_{dataset}_sigma{float(sigma):g}_seed{seed}.csv"
+            first = trace.read_text().splitlines()[1].split(",")
+            assert first[0] == "1" and first[2] == sn
     assert lines[0].split() == ["sigma_km", "median_snic/louvain", "median_louvain-sn/louvain"]
     assert [float(line.split()[0]) for line in lines[1:-1]] == list(DEFAULT_SIGMAS)
     assert lines[-1] == f"wrote {out}/sweep.csv ({3 * len(DEFAULT_SIGMAS)} rows)"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from snmod import snic
 from snmod.geograph import GeoGraph
 from snmod.geometry import max_pairwise_span_km
 from snmod.louvain import EngineConfig, run_louvain
@@ -19,6 +20,9 @@ def test_config_validation():
     for bad in (0, 1.5, 2.0, "3", None):
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
             SnicConfig(SNParams(1.0), max_iters=bad)
+    for bad in (1.5, "7", [1], True):
+        with pytest.raises(ValueError, match="seed must be None or an integer"):
+            SnicConfig(SNParams(1.0), seed=bad)
 
 
 class TestPartitionMaxSpan:
@@ -102,7 +106,26 @@ class TestRunSnic:
             assert trace.entries[0].sn_modularity == pytest.approx(
                 sn_modularity(g, single, params), abs=1e-12
             )
-            assert got == max(e.sn_modularity for e in trace.entries)
+            best = max(e.sn_modularity for e in trace.entries)
+            assert got == best
+            for e in trace.entries:
+                assert sn_modularity(g, e.partition, params) == e.sn_modularity
+            assert trace.entries[0].partition == single
+            assert partition == next(e.partition for e in trace.entries if e.sn_modularity == best)
+
+    def test_ties_return_the_first_best_entry(self, monkeypatch):
+        # four nodes along the equator; each partition spans less than the last
+        g = GeoGraph.from_edges([(0, 1), (1, 2), (2, 3)], {i: (0.0, float(i)) for i in range(4)})
+        results = iter([
+            Partition((0, 0, 0, 0)), Partition((0, 0, 0, 1)),
+            Partition((0, 0, 1, 2)), Partition((0, 1, 2, 3)),
+        ])
+        scores = (0.1, 0.3, 0.3, 0.2)  # indexed by the partition's largest label
+        monkeypatch.setattr(snic, "run_louvain", lambda g, params, cfg: next(results))
+        monkeypatch.setattr(snic, "sn_modularity", lambda g, p, params: scores[max(p.assignment)])
+        partition, trace = run_snic(g, SnicConfig(SNParams(100.0)))
+        assert [e.sn_modularity for e in trace.entries] == [0.1, 0.3, 0.3, 0.2]
+        assert partition == Partition((0, 0, 0, 1))
 
     def test_constraint_sequence_invariants(self):
         for seed in range(12):
