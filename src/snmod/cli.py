@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,11 +120,15 @@ def write_graph_files(g: GeoGraph, edges_path, coords_path) -> None:
             fh.write(f"{ext},{lat!r},{lon!r}\n")
 
 
+def _write_trace_rows(fh, trace: SnicTrace) -> None:
+    for row in trace.csv_rows():
+        fh.write(row + "\n")
+
+
 def write_trace_csv(path, trace: SnicTrace) -> None:
     """Write a SNIC trace's CSV rows (header first)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in trace.csv_rows():
-            fh.write(row + "\n")
+        _write_trace_rows(fh, trace)
 
 
 def write_sweep_traces(trace_dir, traces) -> None:
@@ -281,9 +286,12 @@ def cmd_detect(args) -> int:
     partition, seconds, _, trace = run_algorithm(
         g, args.algo, params, args.seed, args.max_iters
     )
-    write_partition_csv(args.out, g, partition)
-    if args.trace:
-        write_trace_csv(args.trace, trace)
+    # open the trace first, so a bad trace path leaves no partition behind
+    trace_file = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else nullcontext()
+    with trace_file as fh:
+        write_partition_csv(args.out, g, partition)
+        if fh is not None:
+            _write_trace_rows(fh, trace)
     ng = ng_modularity(g, partition)
     sn = sn_modularity(g, partition, params)
     print(
@@ -349,6 +357,9 @@ def cmd_sweep(args) -> int:
     )
     _check_csv_header(args.out, SWEEP_HEADER)
     _check_csv_header(improvements_path, IMPROVEMENT_HEADER)
+    if args.trace_dir:
+        # before any run or append: a path that cannot be a directory fails here
+        Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
 
     datasets = []
     if args.synthetic and (args.edges or args.coords):

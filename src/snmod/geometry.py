@@ -182,9 +182,22 @@ class GeoKernel:
         return finish_centroid(first, *self._sums(members), self.metric)
 
     def _max_chord2(self, v, members) -> float:
-        """Largest squared chord from vector ``v`` to any member; 0 for none."""
+        """Largest squared chord from vector ``v`` to any member; 0 for none.
+
+        Each chord repeats :func:`_sq_chord`'s operations inline.
+        """
+        vx, vy, vz = v
         vecs = self.vecs
-        return max([_sq_chord(vecs[i], v) for i in members], default=0.0)
+        best = 0.0
+        for i in members:
+            x, y, z = vecs[i]
+            dx = x - vx
+            dy = y - vy
+            dz = z - vz
+            c2 = dx * dx + dy * dy + dz * dz
+            if c2 > best:
+                best = c2
+        return best
 
     def distance(self, i: int, centre) -> float:
         """Distance from node ``i`` to a centre vector returned by :meth:`stats`."""
@@ -198,6 +211,7 @@ class GeoKernel:
         sigma: float,
         agg: str,
         plus: int | None = None,
+        sums: tuple[float, float, float, int, bool] | None = None,
     ) -> tuple[tuple[float, float, float], float]:
         """Centre vector and aggregated squared normalized distance for one member set.
 
@@ -205,6 +219,9 @@ class GeoKernel:
         more node (candidate insertions are evaluated without mutating any
         state).  The centre sums the vectors left to right, ``plus`` last;
         ``agg='sum'`` adds each ``(distance / sigma)²`` in the same order.
+        ``sums``, when given, must be ``_sums(members)``: the centre then
+        takes O(1), adding ``plus``'s vector to those sums last, which are
+        the same additions in the same order as summing ``[*members, plus]``.
         """
         if agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {agg!r}")
@@ -213,7 +230,18 @@ class GeoKernel:
             raise ValueError("empty community")
         vecs = self.vecs
         v0 = vecs[ids[0] if plus is None else min(ids[0], plus)]  # the lowest id's
-        sx, sy, sz, n, same = self._sums(ids)
+        if sums is None:
+            sx, sy, sz, n, same = self._sums(ids)
+        else:
+            sx, sy, sz, n, same = sums
+            if plus is not None:
+                v = vecs[plus]
+                x, y, z = v
+                sx += x
+                sy += y
+                sz += z
+                same = same and (n == 0 or v == vecs[members[0]])
+                n += 1
         if same:
             # exact co-location keeps zero dispersion exactly zero
             return v0, 0.0

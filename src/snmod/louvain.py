@@ -7,13 +7,16 @@ weights as self-loops and placing each meta-node at its community's center.
 The phases alternate until a sweep moves nothing.
 
 With the spatially-near objective each candidate community is first bounded
-in O(1) from the node's distance to the cached community center, then, only
-if the bound could still beat the best move found so far, re-evaluated
-exactly with an O(|c|) scan of the union's center and dispersion.  The bound
-never falls below the exact gain (triangle inequality plus a rounding
-slack), so pruning never changes a decision.  Internal-weight and degree
-sums are cached incrementally; cached qualities and exact spatially-near gains
-are built from :func:`snmod.metrics.community_term`, the term the scores sum.
+in O(1), in three tiers that each read more geometry: dispersion 0, then the
+chord from the node to the cached community center, then the arc.  Only a
+candidate whose every bound could still beat the best move found so far is
+re-evaluated exactly, with an O(|c|) scan of the union's dispersion; its
+center takes O(1), from the community's cached in-order vector sums plus
+the node's vector.  No bound falls below the exact gain (triangle
+inequality plus a rounding slack), so pruning never changes a decision.
+Internal-weight and degree sums are cached incrementally; cached qualities
+and exact spatially-near gains are built from
+:func:`snmod.metrics.community_term`, the term the scores sum.
 An optional join constraint, under the spatially-near objective only,
 forbids a node from entering a community unless it is within a given
 distance of every current member, which is what the iterated-constraint heuristic in
@@ -35,6 +38,7 @@ import random
 from dataclasses import dataclass
 
 from .geograph import GeoGraph
+from .geometry import EARTH_RADIUS_KM, _arc_km
 from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
 # Relative slack on each distance that the O(1) bounds read.  Every distance
@@ -43,7 +47,23 @@ from .metrics import Partition, SNParams, _community_sums, check_assignment, com
 # even for sub-millimetre communities, and the arc map adds at most a few
 # 1e-8 near antipodal points.  A bound widened by this much still holds for
 # the rounded values that the exact scans compare.
+#
+# On the sphere, tier 2 of the move phase reads R * sqrt(c2), the chord in
+# km, in place of the arc 2R asin(sqrt(c2) / 2).  The exact chord is never
+# longer than the exact arc, and the rounded one errs from it by the square
+# root's and the product's roundings, about 2^-53 relative each, on top of
+# the squared chord's own; so it exceeds the distance the exact scan sees by
+# far less than this slack, and a bound built from it still holds.  Nor does
+# it exceed the rounded arc: halving is exact and asin(h) >= h, so
+# 2R asin(sqrt(c2) / 2) rounds to at least R * sqrt(c2).  Tier 2 thus prunes
+# only candidates that tier 3 would prune too, up to the rounding of the
+# bound's own arithmetic.
 _BOUND_SLACK = 1e-6
+
+# Whether the spatially-near move phase skips candidates by their O(1)
+# bounds.  The bounds never change a decision, so a run without them (the
+# full scan the pruned runs are tested against) differs only in its work.
+_PRUNE = True
 
 # A move is applied only when it gains more than this.
 _MIN_GAIN = 1e-12
@@ -77,13 +97,16 @@ class EngineConfig:
 
 class _Community:
     __slots__ = (
-        "members", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality", "stamp",
+        "members", "sum_deg", "sum_in", "sums", "centroid", "dispersion", "radius", "quality",
+        "stamp",
     )
 
     def __init__(self):
         self.members: list[int] = []
         self.sum_deg = 0.0
         self.sum_in = 0.0
+        # the members' in-order vector sums, as GeoKernel._sums returns them
+        self.sums = None
         # centre vector, as GeoKernel.stats returns it
         self.centroid = None
         self.dispersion = 0.0
@@ -144,7 +167,10 @@ class LevelState:
         params = self.params
         if params is None or self.two_m == 0:
             return
-        c.centroid, c.dispersion = self.kernel.stats(c.members, params.sigma, params.agg)
+        c.sums = self.kernel._sums(c.members)
+        c.centroid, c.dispersion = self.kernel.stats(
+            c.members, params.sigma, params.agg, sums=c.sums
+        )
         c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
@@ -161,40 +187,10 @@ class LevelState:
             and self.kernel.vecs[i] == c.centroid
         ):
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
-        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i)
+        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i, sums=c.sums)
         q_union = community_term(
             c.sum_in + 2.0 * kiin + self.self_w[i], c.sum_deg + k, disp, two_m
         )
-        return q_union - c.quality - self.q_single[i]
-
-    def _gain_bound(self, i: int, c: _Community, kiin: float, d: float) -> float:
-        """O(1) upper bound on ``_insertion_gain(i, c, kiin)`` (SN objective).
-
-        ``d`` is the distance from node i to c's centroid.  Every member lies
-        within ``c.radius`` of that centroid, so whatever center c + {i} gets,
-        the triangle inequality puts i or some member at least
-        (d - radius) / 2 from it; that bounds the union's dispersion from
-        below and its quality from above.  The bound repeats the exact gain's
-        floating-point operations with the smaller dispersion, and rounding
-        is monotone, so the exact gain never exceeds it.
-        """
-        if c.dispersion == 0.0 and self.kernel.vecs[i] == c.centroid:
-            return math.inf  # the co-located shortcut is O(1) already
-        two_m = self.two_m
-        k = self.graph.degrees[i]
-        sum_in = c.sum_in + 2.0 * kiin + self.self_w[i]
-        sum_deg = c.sum_deg + k
-        num = sum_in - sum_deg * sum_deg / two_m
-        if num > 0.0:
-            reach = 0.5 * (d - c.radius) - _BOUND_SLACK * (d + c.radius)
-            disp = 0.0
-            if reach > 0.0:
-                scaled = reach / self.params.sigma
-                disp = scaled * scaled * (1.0 - _BOUND_SLACK)
-            q_union = num / (1.0 + disp) / two_m
-        else:
-            # a non-positive numerator stays non-positive at any dispersion
-            q_union = 0.0
         return q_union - c.quality - self.q_single[i]
 
     def _removal_back_gain(self, i: int, old: _Community, kiin_old: float) -> float:
@@ -314,11 +310,26 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     :func:`snmod.metrics.community_term`, the term the scores sum.
 
     Under the spatially-near objective each candidate is bound, then
-    verified, from the node's distance to the candidate's centroid.  A
-    candidate whose O(1) gain bound (:meth:`LevelState._gain_bound`) cannot
-    beat the best gain so far is skipped without its join check or its
-    O(|c|) dispersion scan; the join constraint of the rest is mostly
-    decided in O(1) (:func:`_join_verdict`).  Candidates are still visited
+    verified.  The bounds share the union's modularity numerator, computed
+    once per candidate, and divide it by one plus a dispersion that no
+    center of the union can undercut, in three tiers:
+
+    1. dispersion 0, reading no geometry; a non-positive numerator ends
+       here, since no dispersion raises it above 0;
+    2. the dispersion implied by the chord from the node to the
+       candidate's centroid, ``R * sqrt(c2)`` on the sphere; on the plane
+       the chord is the distance, so this tier is the last;
+    3. on the sphere, the dispersion implied by the arc.
+
+    A candidate whose bound cannot beat the best gain so far is skipped at
+    the first tier that shows it, without its join check or its O(|c|)
+    dispersion scan.  The tiers run in that order because each is at least
+    as tight as the one before and dearer to compute.  A candidate co-located
+    with a community of zero dispersion is never bounded, as its exact gain
+    is O(1).  The join constraint of the rest is mostly decided in O(1)
+    (:func:`_join_verdict`), reusing the last tier's distance.  Exact insertion scans
+    take the union's center from the community's cached vector sums (see
+    :meth:`snmod.geometry.GeoKernel.stats`).  Candidates are still visited
     in label order, so a skipped one could never have been chosen and the
     moves are exactly those of a full scan.
 
@@ -337,10 +348,22 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     sn = state.params is not None
     if constrained and not sn:
         raise ValueError("a finite join_constraint_km needs the spatially-near objective")
-    if state.two_m == 0:
+    two_m = state.two_m
+    if two_m == 0:
         return 0, state
     communities = state.communities
     kernel = state.kernel
+    prune = sn and _PRUNE
+    if prune:
+        vecs = kernel.vecs
+        degrees = state.graph.degrees
+        self_w = state.self_w
+        q_single = state.q_single
+        sigma = state.params.sigma
+        sphere = kernel.metric == "haversine"
+        # tier 2's distance per unit of chord: R on the sphere, 1 on the plane
+        chord_scale = EARTH_RADIUS_KM if sphere else 1.0
+        keep = 1.0 - _BOUND_SLACK
     # per node: (clock, labels read, removal gain) of its last stay, else None
     stays: list[tuple | None] = [None] * state.graph.num_nodes
     total_moved = 0
@@ -357,22 +380,60 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                 back = seen[2]
             else:
                 back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
+            if prune:
+                vec = vecs[i]
+                x, y, z = vec
+                k = degrees[i]
+                grow = self_w[i]
+                qs = q_single[i]
             best_label: int | None = old_label
             best_gain = 0.0
             for label in sorted(kiin):
                 if label == old_label:
                     continue
                 cand = communities[label]
-                if sn:
-                    d = kernel.distance(i, cand.centroid)
-                    if state._gain_bound(i, cand, kiin[label], d) - back <= best_gain:
+                d = None  # distance from i to cand's centre, once a tier takes it
+                # the co-located shortcut is exact in O(1) already
+                if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
+                    sum_deg = cand.sum_deg + k
+                    num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
+                    base = cand.quality
+                    # tier 1, dispersion 0; a non-positive numerator stays
+                    # non-positive at any dispersion, so its bound ends here
+                    if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
                         continue
-                    if constrained:
-                        ok = _join_verdict(d, cand.radius, limit)
-                        if ok is None:
-                            ok = kernel.within_limit(cand.members, i, limit)
-                        if not ok:
-                            continue
+                    if num > 0.0:
+                        radius = cand.radius
+                        cx, cy, cz = cand.centroid
+                        dx = x - cx
+                        dy = y - cy
+                        dz = z - cz
+                        c2 = dx * dx + dy * dy + dz * dz
+                        # tier 2, the chord: the distance itself on the plane
+                        d = math.sqrt(c2) * chord_scale
+                        reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
+                        if reach > 0.0:
+                            scaled = reach / sigma
+                            q = num / (1.0 + scaled * scaled * keep) / two_m
+                            if q - base - qs - back <= best_gain:
+                                continue
+                        if sphere:
+                            # tier 3, the arc
+                            d = _arc_km(c2)
+                            reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
+                            if reach > 0.0:
+                                scaled = reach / sigma
+                                q = num / (1.0 + scaled * scaled * keep) / two_m
+                                if q - base - qs - back <= best_gain:
+                                    continue
+                if constrained:
+                    if d is None:
+                        d = kernel.distance(i, cand.centroid)
+                    ok = _join_verdict(d, cand.radius, limit)
+                    if ok is None:
+                        ok = kernel.within_limit(cand.members, i, limit)
+                    if not ok:
+                        continue
                 gain = state._insertion_gain(i, cand, kiin[label]) - back
                 if gain > best_gain:
                     best_gain = gain

@@ -119,6 +119,18 @@ def test_detect_refuses_trace_without_snic(fixture_files, tmp_path, capsys, monk
     assert not out.exists() and not trace.exists()
 
 
+def test_detect_bad_trace_path_leaves_no_partition(fixture_files, tmp_path, capsys):
+    edges, coords = fixture_files
+    out, trace = tmp_path / "p.csv", tmp_path / "nodir" / "tr.csv"
+    rc = main([
+        "detect", "--edges", str(edges), "--coords", str(coords),
+        "--algo", "snic", "--sigma", "1", "--out", str(out), "--trace", str(trace),
+    ])
+    assert rc == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
 def test_detect_summary_matches_library(fixture_files, tmp_path, capsys):
     edges, coords = fixture_files
     out = tmp_path / "p.csv"
@@ -396,6 +408,24 @@ class TestSweep:
         assert len(list(traces.glob("trace_*.csv"))) == 4  # one per snic run
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"synthetic-s0", "synthetic-s1"}
+
+    def test_trace_dir_that_is_a_file_touches_neither_csv(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        improvements = tmp_path / "s_improvements.csv"
+        notadir = tmp_path / "notadir"
+        notadir.write_text("x\n")
+        argv = ["sweep", "--synthetic", "nodes=60,clusters=3,p_intra=0.3,p_inter=0.02",
+                "--sigmas", "300", "--max-iters", "2", "--out", str(out),
+                "--trace-dir", str(notadir)]
+        assert main(argv) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert not out.exists() and not improvements.exists()
+        out.write_text(SWEEP_HEADER + "\n")
+        improvements.write_text(IMPROVEMENT_HEADER + "\n")
+        assert main(argv) == 2
+        assert out.read_text() == SWEEP_HEADER + "\n"
+        assert improvements.read_text() == IMPROVEMENT_HEADER + "\n"
+        assert notadir.read_text() == "x\n"
 
     def test_sweep_requires_some_input(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "s.csv")])

@@ -4,12 +4,12 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snmod import louvain
 from snmod.geograph import GeoGraph
-from snmod.geometry import METRIC_NAMES, GeoKernel
+from snmod.geometry import EARTH_RADIUS_KM, METRIC_NAMES, GeoKernel, _arc_km, _sq_chord
 from snmod.louvain import (
     EngineConfig,
     LevelState,
@@ -327,6 +327,28 @@ def _insertion_case(seed: int, metric: str, agg: str, shape: str):
     return state, i, state.comm[0]
 
 
+def _tier_bounds(state: LevelState, i: int, c, kiin: float) -> list[float]:
+    """The O(1) gain bounds that ``local_move_pass``'s tiers 1, 2 and (on the
+    sphere) 3 compute for inserting isolated node i into community c, with
+    the same floating-point operations; the removal gain is not subtracted."""
+    two_m = state.two_m
+    sum_deg = c.sum_deg + state.graph.degrees[i]
+    num = c.sum_in + 2.0 * kiin + state.self_w[i] - sum_deg * sum_deg / two_m
+    rest = lambda q: q - c.quality - state.q_single[i]
+    bounds = [rest(num / two_m if num > 0.0 else 0.0)]
+    kernel = state.kernel
+    sphere = kernel.metric == "haversine"
+    c2 = _sq_chord(kernel.vecs[i], c.centroid)
+    for d in [math.sqrt(c2) * (EARTH_RADIUS_KM if sphere else 1.0)] + [_arc_km(c2)] * sphere:
+        reach = 0.5 * (d - c.radius) - louvain._BOUND_SLACK * (d + c.radius)
+        disp = 0.0
+        if reach > 0.0:
+            scaled = reach / state.params.sigma
+            disp = scaled * scaled * (1.0 - louvain._BOUND_SLACK)
+        bounds.append(rest(num / (1.0 + disp) / two_m if num > 0.0 else 0.0))
+    return bounds
+
+
 class TestBoundThenVerify:
     @given(
         seed=seeds,
@@ -343,7 +365,13 @@ class TestBoundThenVerify:
             assert c.centroid == kernel.vecs[0]
         kiin = state._neighbor_weights(i).get(label, 0.0)
         d = kernel.distance(i, c.centroid)
-        assert state._gain_bound(i, c, kiin, d) >= state._insertion_gain(i, c, kiin)
+        # the move phase bounds every candidate but a co-located one, whose
+        # exact gain takes O(1)
+        if not (c.dispersion == 0.0 and kernel.vecs[i] == c.centroid):
+            gain = state._insertion_gain(i, c, kiin)
+            bounds = _tier_bounds(state, i, c, kiin)
+            assert len(bounds) == (3 if metric == "haversine" else 2)
+            assert all(bound >= gain for bound in bounds)
         farthest = max(kernel.distance(m, kernel.vecs[i]) for m in c.members)
         for base in (d + c.radius, abs(d - c.radius), farthest, d):
             for factor in (0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0):
@@ -353,6 +381,11 @@ class TestBoundThenVerify:
                 verdict = _join_verdict(d, c.radius, limit)
                 if verdict is not None:
                     assert verdict == kernel.within_limit(c.members, i, limit)
+
+    @given(c2=st.floats(min_value=0.0, max_value=4.0))
+    def test_rounded_chord_never_exceeds_rounded_arc(self, c2):
+        # tier 2 reads R * sqrt(c2) where tier 3 reads the arc
+        assert math.sqrt(c2) * EARTH_RADIUS_KM <= _arc_km(c2)
 
     @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
     @pytest.mark.parametrize("agg", ["max", "sum"])
@@ -379,7 +412,7 @@ class TestBoundThenVerify:
         pruned = run_snic(g, cfg)
         pruned_work = dict(work)
         work.update(scans=0, checks=0)
-        monkeypatch.setattr(LevelState, "_gain_bound", lambda self, i, c, kiin, d: math.inf)
+        monkeypatch.setattr(louvain, "_PRUNE", False)
         monkeypatch.setattr(louvain, "_join_verdict", lambda d, radius, limit: None)
         full = run_snic(g, cfg)
 
@@ -508,13 +541,35 @@ def _assert_caches_fresh(state: LevelState) -> None:
         f = by_members[tuple(c.members)]
         assert c.sum_in == pytest.approx(f.sum_in, rel=1e-9, abs=1e-12)
         assert c.sum_deg == pytest.approx(f.sum_deg, rel=1e-9)
-        assert (c.centroid, c.dispersion, c.radius) == (f.centroid, f.dispersion, f.radius)
+        assert (c.sums, c.centroid, c.dispersion, c.radius) == (f.sums, f.centroid, f.dispersion, f.radius)
         if state.params is not None:
             expected = (c.sum_in - c.sum_deg * c.sum_deg / two_m) / (1.0 + f.dispersion) / two_m
             assert c.quality == expected
             assert c.quality == pytest.approx(f.quality, rel=1e-9, abs=1e-15)
         else:
             assert c.quality == f.quality == 0.0
+
+
+@given(
+    seed=seeds,
+    metric=st.sampled_from(["haversine", "planar"]),
+    agg=st.sampled_from(["max", "sum"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_sums_equal_fresh_sums_after_moves(seed, metric, agg):
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    g = random_geo_graph(rng, n, edge_p=rng.choice([0.1, 0.3]), colocated=rng.random() < 0.2)
+    state = LevelState(g, SNParams(rng.choice([1.0, 300.0]), agg=agg, metric=metric))
+    assume(state.two_m > 0)  # without edges no geometry is cached
+    for _ in range(rng.randint(1, 60)):
+        i = rng.randrange(n)
+        old_label = state.comm[i]
+        targets = [label for label in state.communities if label != old_label]
+        new_label = rng.choice(targets + [None])
+        state._apply_move(i, old_label, new_label, state._neighbor_weights(i))
+        for c in state.communities.values():
+            assert c.sums == state.kernel._sums(c.members)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER
 from snmod.geograph import load_graph
@@ -164,3 +167,34 @@ def test_load_digest_smoke(tmp_path):
     last = digest(checkins, "--policy", "last")
     assert digest(csv) == last
     assert digest(checkins) == digest(checkins, "--policy", "mean") != last
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_fixed_lists():
+    bench = _load_script("bench_pairs.py")
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 2.0, 3.0, 4.0]
+    s = bench.summarise(base, change)
+    assert s["pairs"] == 5 and s["wins"] == 4  # pair 1 got slower
+    assert s["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
+    assert s["change"] == {"median": 2.5, "q1": 2.0, "q3": 3.0, "iqr": 1.0}
+    assert s["median_gap"] == 0.5 and s["relative_gap"] == 0.5 / 3.0
+    assert s["beyond_base_iqr"] is False
+    # higher is better: the same lists, read the other way round
+    s = bench.summarise(change, base, better="higher")
+    assert s["wins"] == 4 and s["median_gap"] == 0.5
+    # a clear gain: every pair lower, medians apart by more than the base's quartiles
+    s = bench.summarise([0.50, 0.52, 0.55, 0.53], [0.40, 0.41, 0.39, 0.42])
+    assert s["wins"] == 4 and s["beyond_base_iqr"] is True
+    assert s["base"]["q1"] == pytest.approx(0.515) and s["base"]["q3"] == pytest.approx(0.535)
+    ties = bench.summarise([1.0, 1.0], [1.0, 1.0])
+    assert ties["wins"] == 0 and ties["median_gap"] == 0.0
+    for bad in (([1.0], [1.0]), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError):
+            bench.summarise(*bad)
