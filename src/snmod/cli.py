@@ -286,10 +286,17 @@ def cmd_detect(args) -> int:
     partition, seconds, _, trace = run_algorithm(
         g, args.algo, params, args.seed, args.max_iters
     )
-    # open the trace first, so a bad trace path leaves no partition behind
+    # open the trace first, so a bad trace path leaves no partition behind,
+    # and remove it again when the partition cannot be written
     trace_file = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else nullcontext()
     with trace_file as fh:
-        write_partition_csv(args.out, g, partition)
+        try:
+            write_partition_csv(args.out, g, partition)
+        except OSError:
+            if fh is not None:
+                fh.close()
+                Path(args.trace).unlink()
+            raise
         if fh is not None:
             _write_trace_rows(fh, trace)
     ng = ng_modularity(g, partition)

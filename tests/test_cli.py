@@ -119,9 +119,14 @@ def test_detect_refuses_trace_without_snic(fixture_files, tmp_path, capsys, monk
     assert not out.exists() and not trace.exists()
 
 
-def test_detect_bad_trace_path_leaves_no_partition(fixture_files, tmp_path, capsys):
+@pytest.mark.parametrize("bad", ["trace", "out"])
+def test_detect_bad_output_path_leaves_neither_file(fixture_files, tmp_path, capsys, bad):
     edges, coords = fixture_files
-    out, trace = tmp_path / "p.csv", tmp_path / "nodir" / "tr.csv"
+    out, trace = tmp_path / "p.csv", tmp_path / "tr.csv"
+    if bad == "trace":
+        trace = tmp_path / "nodir" / "tr.csv"
+    else:
+        out = tmp_path / "nodir" / "p.csv"
     rc = main([
         "detect", "--edges", str(edges), "--coords", str(coords),
         "--algo", "snic", "--sigma", "1", "--out", str(out), "--trace", str(trace),
