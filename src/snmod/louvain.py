@@ -310,9 +310,15 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     :func:`snmod.metrics.community_term`, the term the scores sum.
 
     Under the spatially-near objective each candidate is bound, then
-    verified.  The bounds share the union's modularity numerator, computed
-    once per candidate, and divide it by one plus a dispersion that no
-    center of the union can undercut, in three tiers:
+    verified.  Every member lies within the candidate's radius of its
+    centroid, which is some distance d from the node, so whatever center
+    the union gets, the triangle inequality puts the node or some member at
+    least (d - radius) / 2 from it.  That bounds the union's dispersion from
+    below and its term from above; a bound repeats the exact gain's
+    floating-point operations with the smaller dispersion, and rounding is
+    monotone, so the exact gain never exceeds it.  The bounds share the
+    union's modularity numerator, computed once per candidate, and a
+    smaller d only loosens them, so they come in three tiers:
 
     1. dispersion 0, reading no geometry; a non-positive numerator ends
        here, since no dispersion raises it above 0;
@@ -327,11 +333,11 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     as tight as the one before and dearer to compute.  A candidate co-located
     with a community of zero dispersion is never bounded, as its exact gain
     is O(1).  The join constraint of the rest is mostly decided in O(1)
-    (:func:`_join_verdict`), reusing the last tier's distance.  Exact insertion scans
-    take the union's center from the community's cached vector sums (see
-    :meth:`snmod.geometry.GeoKernel.stats`).  Candidates are still visited
-    in label order, so a skipped one could never have been chosen and the
-    moves are exactly those of a full scan.
+    (:func:`_join_verdict`), reusing the last tier's distance.  Exact
+    insertion scans take the union's center from the community's cached
+    vector sums (see :meth:`snmod.geometry.GeoKernel.stats`).  Candidates
+    are still visited in label order, so a skipped one could never have
+    been chosen and the moves are exactly those of a full scan.
 
     A node that decides to stay records the move clock, the labels it read
     (its own community and every neighboring one) and its removal gain.  Its
@@ -392,48 +398,49 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                 if label == old_label:
                     continue
                 cand = communities[label]
-                d = None  # distance from i to cand's centre, once a tier takes it
-                # the co-located shortcut is exact in O(1) already
-                if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
-                    sum_deg = cand.sum_deg + k
-                    num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
-                    base = cand.quality
-                    # tier 1, dispersion 0; a non-positive numerator stays
-                    # non-positive at any dispersion, so its bound ends here
-                    if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
-                        continue
-                    if num > 0.0:
-                        radius = cand.radius
-                        cx, cy, cz = cand.centroid
-                        dx = x - cx
-                        dy = y - cy
-                        dz = z - cz
-                        c2 = dx * dx + dy * dy + dz * dz
-                        # tier 2, the chord: the distance itself on the plane
-                        d = math.sqrt(c2) * chord_scale
-                        reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
-                        if reach > 0.0:
-                            scaled = reach / sigma
-                            q = num / (1.0 + scaled * scaled * keep) / two_m
-                            if q - base - qs - back <= best_gain:
-                                continue
-                        if sphere:
-                            # tier 3, the arc
-                            d = _arc_km(c2)
+                if sn:
+                    d = None  # distance from i to cand's centre, once a tier takes it
+                    # the co-located shortcut is exact in O(1) already
+                    if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
+                        sum_deg = cand.sum_deg + k
+                        num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
+                        base = cand.quality
+                        # tier 1, dispersion 0; a non-positive numerator stays
+                        # non-positive at any dispersion, so its bound ends here
+                        if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
+                            continue
+                        if num > 0.0:
+                            radius = cand.radius
+                            cx, cy, cz = cand.centroid
+                            dx = x - cx
+                            dy = y - cy
+                            dz = z - cz
+                            c2 = dx * dx + dy * dy + dz * dz
+                            # tier 2, the chord: the distance itself on the plane
+                            d = math.sqrt(c2) * chord_scale
                             reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
                             if reach > 0.0:
                                 scaled = reach / sigma
                                 q = num / (1.0 + scaled * scaled * keep) / two_m
                                 if q - base - qs - back <= best_gain:
                                     continue
-                if constrained:
-                    if d is None:
-                        d = kernel.distance(i, cand.centroid)
-                    ok = _join_verdict(d, cand.radius, limit)
-                    if ok is None:
-                        ok = kernel.within_limit(cand.members, i, limit)
-                    if not ok:
-                        continue
+                            if sphere:
+                                # tier 3, the arc
+                                d = _arc_km(c2)
+                                reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
+                                if reach > 0.0:
+                                    scaled = reach / sigma
+                                    q = num / (1.0 + scaled * scaled * keep) / two_m
+                                    if q - base - qs - back <= best_gain:
+                                        continue
+                    if constrained:
+                        if d is None:
+                            d = kernel.distance(i, cand.centroid)
+                        ok = _join_verdict(d, cand.radius, limit)
+                        if ok is None:
+                            ok = kernel.within_limit(cand.members, i, limit)
+                        if not ok:
+                            continue
                 gain = state._insertion_gain(i, cand, kiin[label]) - back
                 if gain > best_gain:
                     best_gain = gain
