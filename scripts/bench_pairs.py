@@ -5,16 +5,16 @@ Usage (from inside the git checkout):
 
     python3 scripts/bench_pairs.py --base HEAD~1 --change HEAD \\
         --workload ensemble-snic --pairs 10 --seeds 1,2 --seconds 30 \\
-        --metric solve_s --out BENCH_18.json
+        --out BENCH_18.json
 
 Each side is exported with ``git archive`` into its own temporary
 directory, and every ``perfbench/run.py`` call runs with
 ``PYTHONDONTWRITEBYTECODE=1``, so neither side ever has bytecode caches.
 Pair k runs with seed ``seeds[k % len(seeds)]``; even pairs run the base
-first and odd pairs the change first.  The JSON written to ``--out``
-holds every run's end-to-end metrics and, for ``--metric``, each side's
-median and quartiles and the number of pairs in which the change was
-better.  Runs are sequential: each run's own worker is the only process
+first and odd pairs the change first.  The pairs make one block: every
+run's result line plus a summary (see :func:`summarise`).  ``--out`` holds
+a list of blocks, and each call appends its own, so every block run stays
+on record.  Runs are sequential: each run's own worker is the only process
 this script keeps busy.
 """
 
@@ -57,30 +57,52 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(base: list[float], change: list[float], better: str = "lower") -> dict:
-    """Both sides' spreads and how often the change beat the base.
+def compare(base: list[float], change: list[float]) -> dict:
+    """Both sides' spreads of a lower-is-better metric and how often the
+    change beat the base.
 
     ``base[k]`` and ``change[k]`` are pair k's values.  ``wins`` counts the
-    pairs in which the change was strictly better; ``median_gap`` is the
-    improvement of the change's median over the base's (positive when
-    better) and ``beyond_base_iqr`` says whether it exceeds the base's
-    quartile distance.
+    pairs in which the change was strictly lower; ``median_gap`` is the base's
+    median minus the change's (positive when the change is better) and
+    ``beyond_base_iqr`` says whether it exceeds the base's quartile distance.
     """
     if len(base) != len(change) or len(base) < 2:
         raise ValueError("need two equally long lists of at least two values")
-    if better not in ("lower", "higher"):
-        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
-    sign = 1.0 if better == "lower" else -1.0
     b, c = spread(base), spread(change)
-    gap = sign * (b["median"] - c["median"])
+    gap = b["median"] - c["median"]
     return {
-        "pairs": len(base),
-        "wins": sum(sign * (x - y) > 0.0 for x, y in zip(base, change)),
+        "wins": sum(x > y for x, y in zip(base, change)),
         "base": b,
         "change": c,
         "median_gap": gap,
         "relative_gap": gap / b["median"] if b["median"] else None,
         "beyond_base_iqr": gap > b["iqr"],
+    }
+
+
+def summarise(runs: list[dict]) -> dict:
+    """Summary of a block of pairs, each ``{"base": result, "change": result}``.
+
+    Every metric but ``modularity`` is compared as lower-is-better;
+    ``modularity`` counts the pairs in which both sides read the same value.
+    ``correct`` and ``failed`` are per side: runs reporting ``correct`` and
+    failed operations summed over the runs.
+    """
+    sides = ("base", "change")
+    names = sorted({name for pair in runs for side in sides for name in pair[side]["metrics"]})
+    value = lambda pair, side, name: pair[side]["metrics"][name]["value"]
+    return {
+        "pairs": len(runs),
+        "correct": {side: sum(bool(pair[side]["correct"]) for pair in runs) for side in sides},
+        "failed": {side: sum(pair[side]["failed"] for pair in runs) for side in sides},
+        "modularity_equal": sum(
+            value(pair, "base", "modularity") == value(pair, "change", "modularity") for pair in runs
+        ),
+        "metrics": {
+            name: compare(*([value(pair, side, name) for pair in runs] for side in sides))
+            for name in names
+            if name != "modularity"
+        },
     }
 
 
@@ -92,13 +114,13 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default="1,2")
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--metric", default="solve_s")
-    ap.add_argument("--better", choices=("lower", "higher"), default="lower")
-    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--out", required=True, help="JSON file whose list of blocks gets this one")
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if args.pairs < 2 or not seeds:
         raise SystemExit("bench_pairs: need at least two pairs and one seed")
+    out = Path(args.out)
+    blocks = json.loads(out.read_text())["blocks"] if out.exists() else []
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {side: Path(tmp) / side for side in ("base", "change")}
@@ -114,31 +136,28 @@ def main() -> int:
             for side in order:
                 result = run_once(roots[side], args.workload, seed, args.seconds)
                 pair[side] = result
-                value = result["metrics"].get(args.metric, {}).get("value")
+                solve = result["metrics"].get("solve_s", {}).get("value")
                 print(f"pair {k} seed {seed} {side:6s} correct={result['correct']} "
-                      f"{args.metric}={value}", flush=True)
+                      f"failed={result['failed']} solve_s={solve}", flush=True)
             runs.append(pair)
 
-    values = {
-        side: [pair[side]["metrics"][args.metric]["value"] for pair in runs]
-        for side in ("base", "change")
-    }
-    summary = summarise(values["base"], values["change"], args.better)
-    doc = {
+    summary = summarise(runs)
+    blocks.append({
         "workload": args.workload,
         "seconds": args.seconds,
         "seeds": seeds,
         "base": shas["base"],
         "change": shas["change"],
-        "metric": args.metric,
-        "better": args.better,
         "summary": summary,
         "runs": runs,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"{args.metric}: base median {summary['base']['median']:.4g} "
-          f"(iqr {summary['base']['iqr']:.3g}), change median {summary['change']['median']:.4g}; "
-          f"change better in {summary['wins']} of {summary['pairs']} pairs")
+    })
+    out.write_text(json.dumps({"blocks": blocks}, indent=1) + "\n")
+    print(f"correct {summary['correct']}, failed {summary['failed']}, "
+          f"modularity equal in {summary['modularity_equal']} of {summary['pairs']} pairs")
+    for name, m in summary["metrics"].items():
+        print(f"{name}: base median {m['base']['median']:.4g} (iqr {m['base']['iqr']:.3g}), "
+              f"change median {m['change']['median']:.4g}; "
+              f"change lower in {m['wins']} of {summary['pairs']} pairs")
     return 0
 
 

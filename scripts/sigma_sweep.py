@@ -38,7 +38,7 @@ def parse_args():
 def main():
     args = parse_args()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
     if args.edges and args.coords:
         datasets = [("dataset", load_graph(args.edges, args.coords, missing_policy="drop"))]

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,21 +119,17 @@ def write_graph_files(g: GeoGraph, edges_path, coords_path) -> None:
             fh.write(f"{ext},{lat!r},{lon!r}\n")
 
 
-def _write_trace_rows(fh, trace: SnicTrace) -> None:
-    for row in trace.csv_rows():
-        fh.write(row + "\n")
-
-
 def write_trace_csv(path, trace: SnicTrace) -> None:
     """Write a SNIC trace's CSV rows (header first)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_trace_rows(fh, trace)
+        for row in trace.csv_rows():
+            fh.write(row + "\n")
 
 
 def write_sweep_traces(trace_dir, traces) -> None:
-    """Write each ``run_sweep`` trace as ``trace_{name}_sigma{sigma:g}_seed{seed}.csv``."""
+    """Write each ``run_sweep`` trace as ``trace_{name}_sigma{sigma:g}_seed{seed}.csv``
+    into the existing directory ``trace_dir``."""
     trace_dir = Path(trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
     for (name, sigma, seed), trace in traces.items():
         write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
 
@@ -286,19 +281,10 @@ def cmd_detect(args) -> int:
     partition, seconds, _, trace = run_algorithm(
         g, args.algo, params, args.seed, args.max_iters
     )
-    # open the trace first, so a bad trace path leaves no partition behind,
-    # and remove it again when the partition cannot be written
-    trace_file = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else nullcontext()
-    with trace_file as fh:
-        try:
-            write_partition_csv(args.out, g, partition)
-        except OSError:
-            if fh is not None:
-                fh.close()
-                Path(args.trace).unlink()
-            raise
-        if fh is not None:
-            _write_trace_rows(fh, trace)
+    # the trace first, so a bad trace path leaves no partition behind
+    if args.trace:
+        write_trace_csv(args.trace, trace)
+    write_partition_csv(args.out, g, partition)
     ng = ng_modularity(g, partition)
     sn = sn_modularity(g, partition, params)
     print(

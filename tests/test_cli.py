@@ -119,14 +119,9 @@ def test_detect_refuses_trace_without_snic(fixture_files, tmp_path, capsys, monk
     assert not out.exists() and not trace.exists()
 
 
-@pytest.mark.parametrize("bad", ["trace", "out"])
-def test_detect_bad_output_path_leaves_neither_file(fixture_files, tmp_path, capsys, bad):
+def test_detect_bad_trace_path_leaves_no_partition(fixture_files, tmp_path, capsys):
     edges, coords = fixture_files
-    out, trace = tmp_path / "p.csv", tmp_path / "tr.csv"
-    if bad == "trace":
-        trace = tmp_path / "nodir" / "tr.csv"
-    else:
-        out = tmp_path / "nodir" / "p.csv"
+    out, trace = tmp_path / "p.csv", tmp_path / "nodir" / "tr.csv"
     rc = main([
         "detect", "--edges", str(edges), "--coords", str(coords),
         "--algo", "snic", "--sigma", "1", "--out", str(out), "--trace", str(trace),

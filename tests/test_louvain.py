@@ -382,10 +382,83 @@ class TestBoundThenVerify:
                 if verdict is not None:
                     assert verdict == kernel.within_limit(c.members, i, limit)
 
+    @given(
+        seed=seeds,
+        metric=st.sampled_from(["haversine", "planar"]),
+        agg=st.sampled_from(["max", "sum"]),
+        shape=st.sampled_from(["spread", "single", "colocated", "antipodal"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_move_phase_scans_a_candidate_that_wins_by_one_ulp(self, seed, metric, agg, shape):
+        # local_move_pass's own tiers, at their edge: node i visits first, and
+        # its removal gain is set one ulp below the exact insertion gain into
+        # c, so c wins by the least margin there is and no tier may skip it
+        state, i, label = _insertion_case(seed, metric, agg, shape)
+        c = state.communities[label]
+        kiin = state._neighbor_weights(i)
+        assert min(kiin) == label  # c is the first candidate in label order
+        gain = state._insertion_gain(i, c, kiin[label])
+        assume(math.isfinite(gain))
+        backs = [math.nextafter(gain, -math.inf)]
+        removal_back_gain, insertion_gain = LevelState._removal_back_gain, LevelState._insertion_gain
+        scanned = []
+
+        def first_back(self, *args):
+            return backs.pop() if backs else removal_back_gain(self, *args)
+
+        def logged_insertion(self, node, cand, *args):
+            scanned.append((node, self.comm[cand.members[0]]))
+            return insertion_gain(self, node, cand, *args)
+
+        order = [i, *(v for v in range(state.graph.num_nodes) if v != i)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LevelState, "_removal_back_gain", first_back)
+            mp.setattr(LevelState, "_insertion_gain", logged_insertion)
+            local_move_pass(LevelState(state.graph, state.params, state.comm, visit_order=order))
+        assert scanned[0] == (i, label)
+
     @given(c2=st.floats(min_value=0.0, max_value=4.0))
     def test_rounded_chord_never_exceeds_rounded_arc(self, c2):
         # tier 2 reads R * sqrt(c2) where tier 3 reads the arc
         assert math.sqrt(c2) * EARTH_RADIUS_KM <= _arc_km(c2)
+
+    @given(
+        seed=seeds,
+        source=st.sampled_from(["sn", "snic", "spread", "single", "colocated", "antipodal"]),
+        metric=st.sampled_from(["haversine", "planar"]),
+        agg=st.sampled_from(["max", "sum"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_moves_equal_full_scans(self, seed, source, metric, agg):
+        # the tiers as local_move_pass runs them: every move, in order, equals
+        # the full scan's, on random graphs (sn, snic) and on insertion cases
+        if source in ("sn", "snic"):
+            rng = random.Random(seed)
+            g = random_geo_graph(rng, rng.randint(2, 40), edge_p=rng.choice([0.05, 0.15, 0.4]))
+            sigma = (1500.0 if metric == "haversine" else 30.0) * rng.choice([0.01, 0.1, 1.0, 10.0])
+            params = SNParams(sigma, agg=agg, metric=metric)
+            limit = rng.choice([math.inf, sigma]) if source == "sn" else math.inf
+            cfg = EngineConfig(join_constraint_km=limit, seed=seed)
+            run = lambda: _detect(g, source, params, cfg)
+        else:
+            state, _, _ = _insertion_case(seed, metric, agg, source)
+            g, params, start = state.graph, state.params, state.extract_partition().assignment
+            run = lambda: local_move_pass(LevelState(g, params, start))[1].extract_partition()
+
+        def logged(prune):
+            moves = []
+            apply_move = LevelState._apply_move
+
+            def logged_move(self, i, old_label, new_label, kiin):
+                moves.append((self.graph.num_nodes, i, old_label, new_label))
+                return apply_move(self, i, old_label, new_label, kiin)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(louvain, "_PRUNE", prune)
+                mp.setattr(LevelState, "_apply_move", logged_move)
+                return run(), moves
+
+        assert logged(True) == logged(False)
 
     @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
     @pytest.mark.parametrize("agg", ["max", "sum"])

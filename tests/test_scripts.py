@@ -180,21 +180,37 @@ def test_bench_pairs_summary_on_fixed_lists():
     bench = _load_script("bench_pairs.py")
     base = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [0.5, 2.5, 2.0, 3.0, 4.0]
-    s = bench.summarise(base, change)
-    assert s["pairs"] == 5 and s["wins"] == 4  # pair 1 got slower
+    s = bench.compare(base, change)
+    assert s["wins"] == 4  # pair 1 got slower
     assert s["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
     assert s["change"] == {"median": 2.5, "q1": 2.0, "q3": 3.0, "iqr": 1.0}
     assert s["median_gap"] == 0.5 and s["relative_gap"] == 0.5 / 3.0
     assert s["beyond_base_iqr"] is False
-    # higher is better: the same lists, read the other way round
-    s = bench.summarise(change, base, better="higher")
-    assert s["wins"] == 4 and s["median_gap"] == 0.5
     # a clear gain: every pair lower, medians apart by more than the base's quartiles
-    s = bench.summarise([0.50, 0.52, 0.55, 0.53], [0.40, 0.41, 0.39, 0.42])
+    s = bench.compare([0.50, 0.52, 0.55, 0.53], [0.40, 0.41, 0.39, 0.42])
     assert s["wins"] == 4 and s["beyond_base_iqr"] is True
     assert s["base"]["q1"] == pytest.approx(0.515) and s["base"]["q3"] == pytest.approx(0.535)
-    ties = bench.summarise([1.0, 1.0], [1.0, 1.0])
+    ties = bench.compare([1.0, 1.0], [1.0, 1.0])
     assert ties["wins"] == 0 and ties["median_gap"] == 0.0
     for bad in (([1.0], [1.0]), ([1.0, 2.0], [1.0])):
         with pytest.raises(ValueError):
-            bench.summarise(*bad)
+            bench.compare(*bad)
+
+    def result(solve, rss, modularity, correct=True, failed=0):
+        metrics = {"solve_s": solve, "peak_rss_mb": rss, "modularity": modularity}
+        return {"correct": correct, "failed": failed,
+                "metrics": {name: {"value": v} for name, v in metrics.items()}}
+
+    runs = [
+        {"base": result(b, r, 0.25), "change": result(c, r + 1.0, q, ok, f)}
+        for b, c, r, q, ok, f in zip(base, change, [20.0, 21.0, 22.0, 23.0, 24.0],
+                                     [0.25, 0.25, 0.125, 0.25, 0.25],
+                                     [True, True, True, False, True], [0, 0, 0, 3, 1])
+    ]
+    s = bench.summarise(runs)
+    assert s["pairs"] == 5 and s["modularity_equal"] == 4
+    assert s["correct"] == {"base": 5, "change": 4} and s["failed"] == {"base": 0, "change": 4}
+    assert set(s["metrics"]) == {"solve_s", "peak_rss_mb"}
+    assert s["metrics"]["solve_s"] == bench.compare(base, change)
+    assert s["metrics"]["peak_rss_mb"]["wins"] == 0
+    assert s["metrics"]["peak_rss_mb"]["median_gap"] == -1.0
