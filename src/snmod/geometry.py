@@ -110,7 +110,9 @@ def _sq_chord(a, b) -> float:
 
 
 def _arc_km(c2: float) -> float:
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(c2) * 0.5))
+    h = math.sqrt(c2) * 0.5
+    # clamped as min(1.0, h) would, NaN and -0.0 included, without the call
+    return 2.0 * EARTH_RADIUS_KM * math.asin(h if h < 1.0 else 1.0)
 
 
 # Widening of the triangle bound (r_a + r_b)² that ends a span scan.  The
@@ -229,7 +231,6 @@ class GeoKernel:
         if not ids:
             raise ValueError("empty community")
         vecs = self.vecs
-        v0 = vecs[ids[0] if plus is None else min(ids[0], plus)]  # the lowest id's
         if sums is None:
             sx, sy, sz, n, same = self._sums(ids)
         else:
@@ -242,10 +243,13 @@ class GeoKernel:
                 sz += z
                 same = same and (n == 0 or v == vecs[members[0]])
                 n += 1
-        if same:
-            # exact co-location keeps zero dispersion exactly zero
-            return v0, 0.0
-        centre = _mean_vector(sx, sy, sz, n, self.metric) or v0
+        centre = None if same else _mean_vector(sx, sy, sz, n, self.metric)
+        if centre is None:
+            # the lowest id's vector: exact co-location keeps zero dispersion
+            # exactly zero, and a degenerate mean falls back to it
+            centre = vecs[ids[0] if plus is None or ids[0] < plus else plus]
+            if same:
+                return centre, 0.0
         km = self._km
         if agg == "max":
             r = km(self._max_chord2(centre, ids)) / sigma

@@ -23,13 +23,20 @@ distance of every current member, which is what the iterated-constraint heuristi
 :mod:`snmod.snic` relies on; the same center distance accepts or rejects
 most candidates in O(1) and leaves only the rest to a member scan.
 
-Every move stamps the two communities it touches with a per-level move
-clock.  A node's decision reads only its own community, its neighbors'
-labels and the neighboring communities' caches, so a node that stayed is
-skipped outright while none of the communities it read has been stamped
-since, and a node whose own community is unstamped reuses its last removal
-gain.  Both are exact: the same inputs give the same decision, and the
-visit order and stopping rule are unchanged.
+Each community keeps two per-level move clocks.  ``stamp`` records the
+last move that touched it at all.  ``opened`` records the last move that may
+have raised a non-member's gain of joining it: every departure, and under
+the spatially-near objective every arrival too, since an arrival moves the
+centre.  Under plain modularity an arrival only raises the community's
+degree sum, and the plain insertion gain cannot rise when that sum does:
+every floating-point operation in it is monotone under round-to-nearest.
+A node's decision reads only its own community, its neighbors' labels and
+the neighboring communities' caches, so a node that stayed is skipped
+outright while its own community is unstamped and no other community it
+read has been opened since; under the spatially-near objective, a node
+whose own community is unstamped also reuses its last removal gain.  Both
+are exact: the skipped visit would have stayed again, and the visit order
+and stopping rule are unchanged.
 """
 
 import bisect
@@ -98,7 +105,7 @@ class EngineConfig:
 class _Community:
     __slots__ = (
         "members", "sum_deg", "sum_in", "sums", "centroid", "dispersion", "radius", "quality",
-        "stamp",
+        "stamp", "opened",
     )
 
     def __init__(self):
@@ -115,6 +122,9 @@ class _Community:
         self.quality = 0.0
         # move clock of the last move that touched this community
         self.stamp = 0
+        # move clock of the last move that may have raised a non-member's
+        # gain of joining: a departure, or under SN an arrival; <= stamp
+        self.opened = 0
 
 
 class LevelState:
@@ -124,7 +134,8 @@ class LevelState:
     per-community caches.  A state is built for one objective, plain
     modularity when ``params`` is None, and is single-threaded; the graph is
     never mutated.  ``clock`` counts the moves applied; each move stamps its
-    source and target community with the new count.
+    source and target community with the new count and opens its source,
+    and under the spatially-near objective its target too.
     """
 
     def __init__(self, graph: GeoGraph, params: SNParams | None, assignment=None, visit_order=None):
@@ -139,7 +150,7 @@ class LevelState:
                     self.self_w[i] = w
         # each node's quality as a singleton, read by every SN gain
         two_m = self.two_m
-        self.q_single = [
+        self.q_single = None if params is None else [
             community_term(self.self_w[i], k, 0.0, two_m) if two_m else 0.0
             for i, k in enumerate(graph.degrees)
         ]
@@ -217,7 +228,11 @@ class LevelState:
         for j, w in self.graph.adj[i]:
             if j != i:
                 c = comm[j]
-                kiin[c] = kiin.get(c, 0.0) + w
+                # weights are positive, so starting at w adds what 0.0 + w would
+                if c in kiin:
+                    kiin[c] += w
+                else:
+                    kiin[c] = w
         return kiin
 
     def _apply_move(self, i: int, old_label: int, new_label: int | None, kiin) -> int:
@@ -225,7 +240,8 @@ class LevelState:
         old = self.communities[old_label]
         k = self.graph.degrees[i]
         self.clock += 1
-        old.stamp = self.clock
+        clock = self.clock
+        old.stamp = old.opened = clock
         old.members.remove(i)
         old.sum_deg -= k
         old.sum_in -= 2.0 * kiin.get(old_label, 0.0) + self.self_w[i]
@@ -239,7 +255,9 @@ class LevelState:
             target = self.communities.setdefault(new_label, _Community())
         else:
             target = self.communities[new_label]
-        target.stamp = self.clock
+        target.stamp = clock
+        if self.params is not None:
+            target.opened = clock
         bisect.insort(target.members, i)
         target.sum_deg += k
         target.sum_in += 2.0 * kiin.get(new_label, 0.0) + self.self_w[i]
@@ -286,12 +304,15 @@ def _join_verdict(d: float, radius: float, limit: float) -> bool | None:
     return None
 
 
-def _unchanged(communities: dict[int, _Community], labels, clock: int) -> bool:
-    """True when every labelled community still exists and no move has
-    stamped it after move clock ``clock``."""
+def _unchanged(communities: dict[int, _Community], own: int, labels, clock: int) -> bool:
+    """True when no move has stamped community ``own`` after move clock
+    ``clock``, and every labelled community still exists and no move has
+    opened it since."""
+    if communities[own].stamp > clock:
+        return False
     for label in labels:
         c = communities.get(label)
-        if c is None or c.stamp > clock:
+        if c is None or c.opened > clock:
             return False
     return True
 
@@ -339,14 +360,23 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     are still visited in label order, so a skipped one could never have
     been chosen and the moves are exactly those of a full scan.
 
-    A node that decides to stay records the move clock, the labels it read
-    (its own community and every neighboring one) and its removal gain.  Its
-    next visit is skipped while all of those communities exist unstamped
-    since that clock (:func:`_unchanged`): a neighbor that moves stamps the
-    community it leaves, and labels are never reused, so the skipped visit
-    would have read the same values and stayed again.  A visit that does run
-    reuses the recorded removal gain while the node's own community is
-    unstamped.  Under either objective the moves are those of visiting
+    A node that decides to stay records the move clock, the neighboring
+    labels it read and its removal gain.  Its next visit is skipped while
+    its own community is unstamped since that clock and every neighboring
+    community still exists unopened since (:func:`_unchanged`).  A neighbor
+    that moves opens the community it leaves, and labels are never reused,
+    so the node's community weights and its removal gain are those it read.
+    A neighboring community may only have gained members, and then only
+    under plain modularity, where that raises its degree sum ``S_c`` alone.
+    The insertion gain ``(2 k_i,c - 2 k_i S_c / 2m) / 2m`` then cannot
+    rise: each rounded operation is monotone and ``fl(S_c + k) >= S_c``, so
+    every decision value stays at or below ``_MIN_GAIN`` and the skipped
+    visit would have stayed again.  Under plain modularity a visit that runs
+    takes both gains in their O(1) plain form, with the floating-point
+    operations of :meth:`LevelState._insertion_gain` and
+    :meth:`LevelState._removal_back_gain`; under the spatially-near
+    objective it reuses the recorded removal gain while its own community
+    is unstamped.  Under either objective the moves are those of visiting
     every node.
     """
     limit = cfg.join_constraint_km
@@ -358,11 +388,12 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     if two_m == 0:
         return 0, state
     communities = state.communities
+    comm = state.comm
+    degrees = state.graph.degrees
     kernel = state.kernel
     prune = sn and _PRUNE
     if prune:
         vecs = kernel.vecs
-        degrees = state.graph.degrees
         self_w = state.self_w
         q_single = state.q_single
         sigma = state.params.sigma
@@ -370,26 +401,34 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
         # tier 2's distance per unit of chord: R on the sphere, 1 on the plane
         chord_scale = EARTH_RADIUS_KM if sphere else 1.0
         keep = 1.0 - _BOUND_SLACK
-    # per node: (clock, labels read, removal gain) of its last stay, else None
+    # per node: (clock, neighboring labels read, removal gain) of its last
+    # stay, else None; its own community is the one it is still in
     stays: list[tuple | None] = [None] * state.graph.num_nodes
     total_moved = 0
     while True:
         moved = 0
         for i in state.visit_order:
             seen = stays[i]
-            if seen is not None and _unchanged(communities, seen[1], seen[0]):
+            old_label = comm[i]
+            if seen is not None and _unchanged(communities, old_label, seen[1], seen[0]):
                 continue
-            old_label = state.comm[i]
             old = communities[old_label]
             kiin = state._neighbor_weights(i)
-            if seen is not None and _unchanged(communities, (old_label,), seen[0]):
+            k = degrees[i]
+            if not sn:
+                # _removal_back_gain's plain form, O(1)
+                k2 = 2.0 * k
+                if len(old.members) == 1:
+                    back = 0.0
+                else:
+                    back = (2.0 * kiin.get(old_label, 0.0) - k2 * (old.sum_deg - k) / two_m) / two_m
+            elif seen is not None and _unchanged(communities, old_label, (), seen[0]):
                 back = seen[2]
             else:
                 back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
             if prune:
                 vec = vecs[i]
                 x, y, z = vec
-                k = degrees[i]
                 grow = self_w[i]
                 qs = q_single[i]
             best_label: int | None = old_label
@@ -398,7 +437,10 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                 if label == old_label:
                     continue
                 cand = communities[label]
-                if sn:
+                if not sn:
+                    # _insertion_gain's plain form
+                    gain = (2.0 * kiin[label] - k2 * cand.sum_deg / two_m) / two_m - back
+                else:
                     d = None  # distance from i to cand's centre, once a tier takes it
                     # the co-located shortcut is exact in O(1) already
                     if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
@@ -441,7 +483,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                             ok = kernel.within_limit(cand.members, i, limit)
                         if not ok:
                             continue
-                gain = state._insertion_gain(i, cand, kiin[label]) - back
+                    gain = state._insertion_gain(i, cand, kiin[label]) - back
                 if gain > best_gain:
                     best_gain = gain
                     best_label = label
@@ -454,7 +496,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                 stays[i] = None
                 moved += 1
             else:
-                stays[i] = (state.clock, (old_label, *kiin), back)
+                stays[i] = (state.clock, tuple(kiin), back)
         total_moved += moved
         if moved == 0:
             return total_moved, state

@@ -13,6 +13,7 @@ from snmod.geometry import (
     METRIC_NAMES,
     GeoKernel,
     GeoPoint,
+    _arc_km,
     _mean_vector,
     max_pairwise_span_km,
     planar_centroid,
@@ -47,6 +48,14 @@ def test_haversine_pinned_values():
     half = math.pi * EARTH_RADIUS_KM
     assert haversine(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(half, rel=1e-12)
     assert haversine(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(20015.087, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "c2", [0.0, -0.0, 5e-324, 1e-300, 2.0, 3.9999999999999996, 4.0, 4.000000000000001, math.inf, math.nan]
+)
+def test_arc_clamps_as_min_would(c2):
+    want = 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(c2) * 0.5))
+    assert repr(_arc_km(c2)) == repr(want)
 
 
 @given(a=points, b=points)
@@ -303,6 +312,15 @@ class TestGeoKernel:
             assert centre is kernel.vecs[0] and disp == 0.0
         centre, _ = kernel.stats([1], 1.0, "max", 2)
         assert centre is kernel.vecs[1]
+
+    def test_degenerate_mean_falls_back_to_the_lowest_ids_vector(self):
+        # an antipodal pair has no mean direction
+        kernel = GeoKernel([GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)])
+        for members, plus in (([0, 1], None), ([1], 0), ([0], 1)):
+            for sums in (None, kernel._sums(members)):
+                centre, disp = kernel.stats(members, 1.0, "max", plus, sums=sums)
+                assert centre is kernel.vecs[0]
+                assert disp == pytest.approx((math.pi * EARTH_RADIUS_KM) ** 2)
 
     def test_empty_raises(self):
         kernel = GeoKernel([GeoPoint(0, 0)])

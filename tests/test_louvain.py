@@ -444,21 +444,7 @@ class TestBoundThenVerify:
             state, _, _ = _insertion_case(seed, metric, agg, source)
             g, params, start = state.graph, state.params, state.extract_partition().assignment
             run = lambda: local_move_pass(LevelState(g, params, start))[1].extract_partition()
-
-        def logged(prune):
-            moves = []
-            apply_move = LevelState._apply_move
-
-            def logged_move(self, i, old_label, new_label, kiin):
-                moves.append((self.graph.num_nodes, i, old_label, new_label))
-                return apply_move(self, i, old_label, new_label, kiin)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(louvain, "_PRUNE", prune)
-                mp.setattr(LevelState, "_apply_move", logged_move)
-                return run(), moves
-
-        assert logged(True) == logged(False)
+        assert _logged(run, _PRUNE=True) == _logged(run, _PRUNE=False)
 
     @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
     @pytest.mark.parametrize("agg", ["max", "sum"])
@@ -497,10 +483,37 @@ class TestBoundThenVerify:
         assert pruned_work["checks"] < work["checks"]
 
 
-def _no_skip(communities, labels, clock):
+def _logged(run, **patches):
+    """``run()`` and every ``_apply_move`` it made, in order, with each
+    keyword patched onto :mod:`snmod.louvain`."""
+    moves = []
+    apply_move = LevelState._apply_move
+
+    def logged_move(self, i, old_label, new_label, kiin):
+        moves.append((self.graph.num_nodes, i, old_label, new_label))
+        return apply_move(self, i, old_label, new_label, kiin)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(louvain, name, value)
+        mp.setattr(LevelState, "_apply_move", logged_move)
+        return run(), moves
+
+
+def _no_skip(communities, own, labels, clock):
     """Stand-in for ``louvain._unchanged`` under which every visit runs in
     full and recomputes its removal gain."""
     return False
+
+
+def _float_weighted_graph(rng: random.Random, n: int, edge_p: float) -> GeoGraph:
+    """A random graph with weights spread over several orders of magnitude,
+    collapsed over a random partition: self-loops and non-integer degree
+    sums, as on a coarse level."""
+    g = random_geo_graph(rng, n, edge_p=edge_p)
+    edges = [(u, v, rng.lognormvariate(0.0, 2.0)) for u, row in enumerate(g.adj) for v, _ in row if u < v]
+    g = GeoGraph.from_edges(edges, dict(enumerate(g.nodes)), extra_nodes=range(n))
+    return aggregate_graph(g, random_partition(rng, n))
 
 
 def _detect(g, mode: str, params: SNParams, cfg: EngineConfig):
@@ -518,20 +531,23 @@ class TestStampSkip:
         mode=st.sampled_from(["ng", "sn", "snic"]),
         metric=st.sampled_from(["haversine", "planar"]),
         agg=st.sampled_from(["max", "sum"]),
+        weights=st.sampled_from(["uniform", "float"]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_skips_change_no_decision(self, seed, mode, metric, agg):
+    def test_skips_change_no_decision(self, seed, mode, metric, agg, weights):
+        # every move, in order, equals that of visiting every node in full
         rng = random.Random(seed)
-        g = random_geo_graph(rng, rng.randint(2, 40), edge_p=rng.choice([0.05, 0.15, 0.4]))
+        n, edge_p = rng.randint(2, 40), rng.choice([0.05, 0.15, 0.4])
+        if weights == "uniform":
+            g = random_geo_graph(rng, n, edge_p=edge_p)
+        else:
+            g = _float_weighted_graph(rng, n, edge_p)
         scale = rng.choice([0.1, 1.0, 10.0])
         params = SNParams((1500.0 if metric == "haversine" else 30.0) * scale, agg=agg, metric=metric)
         limit = rng.choice([math.inf, params.sigma]) if mode == "sn" else math.inf
         cfg = EngineConfig(join_constraint_km=limit, seed=seed)
-        skipping = _detect(g, mode, params, cfg)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(louvain, "_unchanged", _no_skip)
-            full = _detect(g, mode, params, cfg)
-        assert skipping == full
+        run = lambda: _detect(g, mode, params, cfg)
+        assert _logged(run) == _logged(run, _unchanged=_no_skip)
 
     @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
     def test_skips_save_visits_and_scans(self, monkeypatch, metric, sigma):
@@ -596,11 +612,96 @@ class TestStampSkip:
         assert state.extract_partition() == Partition.from_assignment([0, 0, 0, 0, 1, 1])
 
         # a skip that checked labels alone would have kept v where it was
-        labels_only = lambda communities, labels, clock: all(c in communities for c in labels)
+        labels_only = lambda communities, own, labels, clock: all(c in communities for c in (own, *labels))
         monkeypatch.setattr(louvain, "_unchanged", labels_only)
         moves.clear()
         _, state = local_move_pass(LevelState(g, params, start.assignment, visit_order=order))
         assert moves == [(3, label_c)]
+
+    @staticmethod
+    def _ng_run(monkeypatch, edges, start, order, unchanged=None):
+        """Plain-modularity pass from ``start``: its moves as (node, label),
+        the nodes whose visits ran, in order, and the final partition."""
+        coords = {i: (0.0, float(i)) for i in range(len(start))}
+        g = GeoGraph.from_edges(edges, coords)
+        moves, visits = [], []
+        apply_move, neighbor_weights = LevelState._apply_move, LevelState._neighbor_weights
+
+        def logged_move(self, i, old_label, new_label, kiin):
+            moves.append((i, new_label))
+            return apply_move(self, i, old_label, new_label, kiin)
+
+        def counted_visit(self, i):
+            visits.append(i)
+            return neighbor_weights(self, i)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(LevelState, "_apply_move", logged_move)
+            mp.setattr(LevelState, "_neighbor_weights", counted_visit)
+            if unchanged is not None:
+                mp.setattr(louvain, "_unchanged", unchanged)
+            _, state = local_move_pass(LevelState(g, None, start, visit_order=order))
+        return moves, visits, state.extract_partition()
+
+    def test_ng_arrival_keeps_a_stay(self, monkeypatch):
+        # v = 0 sits with x = 4 (weight 5) and is tied to u = 1 (weight 1),
+        # whose community C = {1, 2} it declines to join.  w = 3, tied to u
+        # but not to v, then joins C.  That only raises C's degree sum, which
+        # cannot raise v's plain gain of joining C, so v's next visit is
+        # skipped; a rule that checked every stamp ran it again.
+        edges = [(0, 4, 5.0), (0, 1, 1.0), (1, 2, 3.0), (3, 1, 3.0)]
+        start, order = [0, 1, 1, 2, 0], [0, 3, 1, 2, 4]
+        moves, visits, p = self._ng_run(monkeypatch, edges, start, order)
+        assert moves == [(3, 1)]
+        assert visits.count(0) == 1
+        assert p == Partition.from_assignment([0, 1, 1, 1, 0])
+
+        stamps = lambda communities, own, labels, clock: all(
+            c in communities and communities[c].stamp <= clock for c in (own, *labels)
+        )
+        stamped_moves, stamped_visits, stamped_p = self._ng_run(monkeypatch, edges, start, order, stamps)
+        assert (stamped_moves, stamped_p) == (moves, p)
+        assert stamped_visits.count(0) == 2
+
+    def test_ng_departure_turns_a_stay_into_a_move(self, monkeypatch):
+        # v = 0 sits with x = 4 (weight 1) and is tied to u = 1 (weight 2) in
+        # C = {1, 2, 5}, whose degree sum 9 keeps v out: joining gains
+        # (4 - 6 * 9 / 16) / 16 against a removal loss of (2 - 6 / 16) / 16.
+        # y = 2, in C but tied only to z = 3, leaves for z.  C's sum falls
+        # to 6, joining now gains (4 - 6 * 6 / 16) / 16, and v moves, x in
+        # its wake.  Only the departure's opened clock tells v to look again.
+        edges = [(0, 4, 1.0), (0, 1, 2.0), (1, 5, 2.0), (2, 3, 3.0)]
+        start, order = [0, 1, 1, 2, 0, 1], [0, 2, 1, 5, 3, 4]
+        moves, _, p = self._ng_run(monkeypatch, edges, start, order)
+        assert moves == [(2, 2), (0, 1), (4, 1)]
+        assert p == Partition.from_assignment([0, 0, 1, 1, 0, 0])
+
+        # a predicate that ignores opened keeps v where it was
+        stamp_own = lambda communities, own, labels, clock: communities[own].stamp <= clock and all(
+            c in communities for c in labels
+        )
+        moves, _, p = self._ng_run(monkeypatch, edges, start, order, stamp_own)
+        assert moves == [(2, 2)]
+        assert p == Partition.from_assignment([0, 1, 2, 2, 0, 1])
+
+    def test_ng_arrival_into_the_own_community_turns_a_stay_into_a_move(self, monkeypatch):
+        # v = 0 sits with x = 3 (weight 1) and is tied to u = 1 (weight 1) in
+        # C = {1, 4}: joining gains (2 - 4 * 5 / 14) / 14 against a removal
+        # loss of (2 - 4 * 4 / 14) / 14, so v stays.  w = 2, tied to x but
+        # not to v, joins v's community; its degree sum rises from 6 to 9,
+        # the loss falls to (2 - 4 * 7 / 14) / 14 = 0, and v moves.  Only the
+        # stamp on v's own community tells its next visit to run: an arrival
+        # opens nothing under plain modularity.
+        edges = [(0, 3, 1.0), (0, 1, 1.0), (1, 4, 2.0), (2, 3, 3.0)]
+        start, order = [0, 1, 2, 0, 1], [0, 2, 1, 4, 3]
+        moves, _, p = self._ng_run(monkeypatch, edges, start, order)
+        assert moves[:2] == [(2, 0), (0, 1)]
+
+        opened_only = lambda communities, own, labels, clock: all(
+            c in communities and communities[c].opened <= clock for c in (own, *labels)
+        )
+        moves, _, _ = self._ng_run(monkeypatch, edges, start, order, opened_only)
+        assert moves == [(2, 0)]
 
 
 def _assert_caches_fresh(state: LevelState) -> None:
@@ -661,7 +762,7 @@ def test_incremental_caches_do_not_drift(monkeypatch, params, cfg):
     def checked_pass(state, cfg=EngineConfig()):
         result = original(state, cfg)
         _assert_caches_fresh(state)
-        assert all(c.stamp <= state.clock for c in state.communities.values())
+        assert all(c.opened <= c.stamp <= state.clock for c in state.communities.values())
         # no skipped visit hid an improving move: visiting every node moves nothing
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(louvain, "_unchanged", _no_skip)
