@@ -619,29 +619,23 @@ class TestStampSkip:
         assert moves == [(3, label_c)]
 
     @staticmethod
-    def _ng_run(monkeypatch, edges, start, order, unchanged=None):
-        """Plain-modularity pass from ``start``: its moves as (node, label),
-        the nodes whose visits ran, in order, and the final partition."""
-        coords = {i: (0.0, float(i)) for i in range(len(start))}
-        g = GeoGraph.from_edges(edges, coords)
-        moves, visits = [], []
-        apply_move, neighbor_weights = LevelState._apply_move, LevelState._neighbor_weights
-
-        def logged_move(self, i, old_label, new_label, kiin):
-            moves.append((i, new_label))
-            return apply_move(self, i, old_label, new_label, kiin)
+    def _ng_run(monkeypatch, edges, start, order, **patches):
+        """Plain-modularity pass from ``start``, with ``patches`` as for
+        :func:`_logged`: its moves as (node, label), the nodes whose visits
+        ran, in order, and the final partition."""
+        g = GeoGraph.from_edges(edges, {i: (0.0, float(i)) for i in range(len(start))})
+        visits = []
+        neighbor_weights = LevelState._neighbor_weights
 
         def counted_visit(self, i):
             visits.append(i)
             return neighbor_weights(self, i)
 
+        run = lambda: local_move_pass(LevelState(g, None, start, visit_order=order))[1].extract_partition()
         with monkeypatch.context() as mp:
-            mp.setattr(LevelState, "_apply_move", logged_move)
             mp.setattr(LevelState, "_neighbor_weights", counted_visit)
-            if unchanged is not None:
-                mp.setattr(louvain, "_unchanged", unchanged)
-            _, state = local_move_pass(LevelState(g, None, start, visit_order=order))
-        return moves, visits, state.extract_partition()
+            p, moves = _logged(run, **patches)
+        return [(i, new_label) for _, i, _, new_label in moves], visits, p
 
     def test_ng_arrival_keeps_a_stay(self, monkeypatch):
         # v = 0 sits with x = 4 (weight 5) and is tied to u = 1 (weight 1),
@@ -659,9 +653,9 @@ class TestStampSkip:
         stamps = lambda communities, own, labels, clock: all(
             c in communities and communities[c].stamp <= clock for c in (own, *labels)
         )
-        stamped_moves, stamped_visits, stamped_p = self._ng_run(monkeypatch, edges, start, order, stamps)
-        assert (stamped_moves, stamped_p) == (moves, p)
-        assert stamped_visits.count(0) == 2
+        stamped = self._ng_run(monkeypatch, edges, start, order, _unchanged=stamps)
+        assert (stamped[0], stamped[2]) == (moves, p)
+        assert stamped[1].count(0) == 2
 
     def test_ng_departure_turns_a_stay_into_a_move(self, monkeypatch):
         # v = 0 sits with x = 4 (weight 1) and is tied to u = 1 (weight 2) in
@@ -680,7 +674,7 @@ class TestStampSkip:
         stamp_own = lambda communities, own, labels, clock: communities[own].stamp <= clock and all(
             c in communities for c in labels
         )
-        moves, _, p = self._ng_run(monkeypatch, edges, start, order, stamp_own)
+        moves, _, p = self._ng_run(monkeypatch, edges, start, order, _unchanged=stamp_own)
         assert moves == [(2, 2)]
         assert p == Partition.from_assignment([0, 1, 2, 2, 0, 1])
 
@@ -700,7 +694,7 @@ class TestStampSkip:
         opened_only = lambda communities, own, labels, clock: all(
             c in communities and communities[c].opened <= clock for c in (own, *labels)
         )
-        moves, _, _ = self._ng_run(monkeypatch, edges, start, order, opened_only)
+        moves, _, _ = self._ng_run(monkeypatch, edges, start, order, _unchanged=opened_only)
         assert moves == [(2, 0)]
 
 
