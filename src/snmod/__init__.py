@@ -16,14 +16,7 @@ from .geometry import (
     planar_centroid,
     spherical_centroid,
 )
-from .louvain import (
-    EngineConfig,
-    LevelState,
-    aggregate_graph,
-    local_move_pass,
-    move_gain,
-    run_louvain,
-)
+from .louvain import EngineConfig, run_louvain
 from .metrics import (
     CommunityStats,
     Partition,

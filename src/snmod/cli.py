@@ -63,7 +63,7 @@ def read_partition_csv(path, g: GeoGraph) -> Partition:
     """
     by_external: dict[int, str] = {}
     header = True  # whether the next row may be a header
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for ln, raw in enumerate(fh, 1):
             s = raw.strip()
             if not s or s[0] == "#":
@@ -170,7 +170,7 @@ def _check_csv_header(path, header: str) -> bool:
     path = Path(path)
     if not (path.exists() and path.stat().st_size > 0):
         return False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline().strip()
     if first != header:
         raise GraphDataError(f"{path} exists with a different header; refusing to append")

@@ -315,9 +315,12 @@ def load_graph(
 
 
 def _read(source, parse, *args):
-    """Run ``parse`` over the lines of a path, file object or line iterable."""
+    """Run ``parse`` over the lines of a path, file object or line iterable.
+
+    A path is read as UTF-8, with or without a leading byte-order mark.
+    """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return parse(fh, *args)
     return parse(source, *args)
 

@@ -2,18 +2,10 @@
 
 All great-circle computations use a sphere of radius 6371.0 km.  The "planar"
 metric treats (lat, lon) as plain plane coordinates and exists for synthetic
-tests where exact hand-computable distance values are convenient.
-
-:class:`GeoKernel` stores every point once as a 3-D vector: the unit vector
-on the sphere, ``(x, y, 0.0)`` on the plane.  Every centre, distance, join
-check and span it computes then goes through one path, the squared chord
-(Euclidean distance) between two vectors.  Every centre, co-location test
-and span mean comes from one summing pass over a member list, which adds
-the vectors in member order and notes whether they are all equal.  Only
-three things depend on the metric: building the vectors, the centre (the
-mean vector, renormalized on the sphere) and the monotone map from squared
-chord to distance (``2R asin(chord / 2)`` on the sphere, ``chord`` on the
-plane).  The module is plain Python and needs no third-party package.
+tests where exact hand-computable distance values are convenient.  Every
+distance, centre, dispersion and span goes through :class:`GeoKernel`,
+and every centre as a location through :func:`finish_centroid`.  The module
+is plain Python and needs no third-party package.
 """
 
 import math
@@ -137,14 +129,14 @@ class GeoKernel:
     """Distance/centroid/dispersion engine over a fixed point table.
 
     Built once per node set (graph or coarsened graph level).  Each point is
-    stored as a 3-D vector (``vecs``), and every distance is mapped from the
-    squared chord between two vectors, so the metric matters only when the
-    vectors are built, when a centre is taken and when a chord becomes a
-    distance.  Member sets are python lists of node indices.  One summing
-    pass (:meth:`_sums`) walks a set once for its in-order vector sums, its
-    size and whether it is co-located; :meth:`stats`, :meth:`centroid` and
-    the span scan all read it, so they take a set's centre from the same
-    sums.  Dispersions and spans then make one distance pass.
+    stored once as a 3-D vector (``vecs``): the unit vector on the sphere,
+    ``(x, y, 0.0)`` on the plane.  Every distance is mapped from the squared
+    chord between two vectors, ``2R asin(chord / 2)`` on the sphere and the
+    chord itself on the plane, so the metric matters only when the vectors
+    are built, when a centre is taken and when a chord becomes a distance.
+    Member sets are python lists of node indices.  Every centre comes from
+    the one summing pass, :meth:`_sums`; dispersions (:meth:`stats`) and
+    spans (:meth:`_span_chord2`) then make one distance pass.
     """
 
     def __init__(self, points: Sequence, metric: str = "haversine"):

@@ -6,37 +6,13 @@ phase collapses communities into meta-nodes, carrying accumulated edge
 weights as self-loops and placing each meta-node at its community's center.
 The phases alternate until a sweep moves nothing.
 
-With the spatially-near objective each candidate community is first bounded
-in O(1), in three tiers that each read more geometry: dispersion 0, then the
-chord from the node to the cached community center, then the arc.  Only a
-candidate whose every bound could still beat the best move found so far is
-re-evaluated exactly, with an O(|c|) scan of the union's dispersion; its
-center takes O(1), from the community's cached in-order vector sums plus
-the node's vector.  No bound falls below the exact gain (triangle
-inequality plus a rounding slack), so pruning never changes a decision.
 Internal-weight and degree sums are cached incrementally; cached qualities
 and exact spatially-near gains are built from
-:func:`snmod.metrics.community_term`, the term the scores sum.
-An optional join constraint, under the spatially-near objective only,
-forbids a node from entering a community unless it is within a given
-distance of every current member, which is what the iterated-constraint heuristic in
-:mod:`snmod.snic` relies on; the same center distance accepts or rejects
-most candidates in O(1) and leaves only the rest to a member scan.
-
-Each community keeps two per-level move clocks.  ``stamp`` records the
-last move that touched it at all.  ``opened`` records the last move that may
-have raised a non-member's gain of joining it: every departure, and under
-the spatially-near objective every arrival too, since an arrival moves the
-centre.  Under plain modularity an arrival only raises the community's
-degree sum, and the plain insertion gain cannot rise when that sum does:
-every floating-point operation in it is monotone under round-to-nearest.
-A node's decision reads only its own community, its neighbors' labels and
-the neighboring communities' caches, so a node that stayed is skipped
-outright while its own community is unstamped and no other community it
-read has been opened since; under the spatially-near objective, a node
-whose own community is unstamped also reuses its last removal gain.  Both
-are exact: the skipped visit would have stayed again, and the visit order
-and stopping rule are unchanged.
+:func:`snmod.metrics.community_term`, the term the scores sum.  The move
+phase prunes candidates by O(1) bounds and skips visits that would stay;
+neither changes a decision (see :func:`local_move_pass`).  The optional join
+constraint of :class:`EngineConfig` is what the iterated-constraint
+heuristic in :mod:`snmod.snic` relies on.
 """
 
 import bisect
@@ -48,28 +24,20 @@ from .geograph import GeoGraph
 from .geometry import EARTH_RADIUS_KM, _arc_km
 from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
-# Relative slack on each distance that the O(1) bounds read.  Every distance
-# is mapped from a squared chord between stored vectors (see GeoKernel);
-# differences of nearby stored vectors are exact, so rounding stays relative
-# even for sub-millimetre communities, and the arc map adds at most a few
-# 1e-8 near antipodal points.  A bound widened by this much still holds for
-# the rounded values that the exact scans compare.
-#
-# On the sphere, tier 2 of the move phase reads R * sqrt(c2), the chord in
-# km, in place of the arc 2R asin(sqrt(c2) / 2).  The exact chord is never
-# longer than the exact arc, and the rounded one errs from it by the square
-# root's and the product's roundings, about 2^-53 relative each, on top of
-# the squared chord's own; so it exceeds the distance the exact scan sees by
-# far less than this slack, and a bound built from it still holds.  Nor does
-# it exceed the rounded arc: halving is exact and asin(h) >= h, so
-# 2R asin(sqrt(c2) / 2) rounds to at least R * sqrt(c2).  Tier 2 thus prunes
-# only candidates that tier 3 would prune too, up to the rounding of the
-# bound's own arithmetic.
+# Relative slack on each distance that the O(1) bounds of local_move_pass
+# read.  Every distance is mapped from a squared chord between stored vectors
+# (see GeoKernel); differences of nearby stored vectors are exact, so rounding
+# stays relative even for sub-millimetre communities, and the arc map adds at
+# most a few 1e-8 near antipodal points.  A bound may read the chord in km,
+# R * sqrt(c2), in place of the arc 2R asin(sqrt(c2) / 2): the exact chord is
+# never longer than the exact arc, and the rounded one errs from it by two more
+# roundings of about 2^-53 relative each; nor does it exceed the rounded arc,
+# since halving is exact and asin(h) >= h.  A bound widened by this much
+# therefore still holds for the rounded values that the exact scans compare.
 _BOUND_SLACK = 1e-6
 
-# Whether the spatially-near move phase skips candidates by their O(1)
-# bounds.  The bounds never change a decision, so a run without them (the
-# full scan the pruned runs are tested against) differs only in its work.
+# False scans every candidate with no bound: the full scan that tests
+# compare pruned runs against.
 _PRUNE = True
 
 # A move is applied only when it gains more than this.
@@ -120,10 +88,8 @@ class _Community:
         # sigma * sqrt(dispersion): no member is farther from the centroid
         self.radius = 0.0
         self.quality = 0.0
-        # move clock of the last move that touched this community
+        # move clocks, opened <= stamp (see local_move_pass)
         self.stamp = 0
-        # move clock of the last move that may have raised a non-member's
-        # gain of joining: a departure, or under SN an arrival; <= stamp
         self.opened = 0
 
 
@@ -133,9 +99,8 @@ class LevelState:
     Holds the node -> community assignment (singletons by default) plus
     per-community caches.  A state is built for one objective, plain
     modularity when ``params`` is None, and is single-threaded; the graph is
-    never mutated.  ``clock`` counts the moves applied; each move stamps its
-    source and target community with the new count and opens its source,
-    and under the spatially-near objective its target too.
+    never mutated.  ``clock`` counts the moves applied (see
+    :func:`local_move_pass`).
     """
 
     def __init__(self, graph: GeoGraph, params: SNParams | None, assignment=None, visit_order=None):
@@ -326,9 +291,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     preferring to stay on ties and the smallest community label otherwise.
     With a finite join constraint, a community is a candidate only when the
     node is within the constraint of all current members; a finite one under
-    plain modularity raises ValueError.  One candidate loop serves both
-    objectives, and exact spatially-near gains are differences of
-    :func:`snmod.metrics.community_term`, the term the scores sum.
+    plain modularity raises ValueError.
 
     Under the spatially-near objective each candidate is bound, then
     verified.  Every member lies within the candidate's radius of its
@@ -337,9 +300,10 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     least (d - radius) / 2 from it.  That bounds the union's dispersion from
     below and its term from above; a bound repeats the exact gain's
     floating-point operations with the smaller dispersion, and rounding is
-    monotone, so the exact gain never exceeds it.  The bounds share the
-    union's modularity numerator, computed once per candidate, and a
-    smaller d only loosens them, so they come in three tiers:
+    monotone, so the exact gain never exceeds it (``_BOUND_SLACK`` covers
+    the distances' own rounding).  The bounds share the union's modularity
+    numerator, computed once per candidate, and a smaller d only loosens
+    them, so they come in three tiers:
 
     1. dispersion 0, reading no geometry; a non-positive numerator ends
        here, since no dispersion raises it above 0;
@@ -360,24 +324,25 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     are still visited in label order, so a skipped one could never have
     been chosen and the moves are exactly those of a full scan.
 
-    A node that decides to stay records the move clock, the neighboring
-    labels it read and its removal gain.  Its next visit is skipped while
-    its own community is unstamped since that clock and every neighboring
-    community still exists unopened since (:func:`_unchanged`).  A neighbor
-    that moves opens the community it leaves, and labels are never reused,
-    so the node's community weights and its removal gain are those it read.
-    A neighboring community may only have gained members, and then only
-    under plain modularity, where that raises its degree sum ``S_c`` alone.
-    The insertion gain ``(2 k_i,c - 2 k_i S_c / 2m) / 2m`` then cannot
-    rise: each rounded operation is monotone and ``fl(S_c + k) >= S_c``, so
-    every decision value stays at or below ``_MIN_GAIN`` and the skipped
-    visit would have stayed again.  Under plain modularity a visit that runs
-    takes both gains in their O(1) plain form, with the floating-point
-    operations of :meth:`LevelState._insertion_gain` and
-    :meth:`LevelState._removal_back_gain`; under the spatially-near
-    objective it reuses the recorded removal gain while its own community
-    is unstamped.  Under either objective the moves are those of visiting
-    every node.
+    Each community keeps two move clocks: ``stamp``, the last move that
+    touched it, and ``opened``, the last move that may have raised a
+    non-member's gain of joining it.  A move stamps both communities it
+    touches and opens the one it leaves; under the spatially-near objective
+    it opens the one it enters too, since an arrival moves the centre.  A
+    node that decides to stay records the move clock, the neighboring labels
+    it read and its removal gain.  Its next visit is skipped while its own
+    community is unstamped since that clock and every neighboring community
+    still exists unopened since (:func:`_unchanged`).  Every departure opens
+    its community and labels are never reused, so the node's community
+    weights and its removal gain are those it read.  A neighboring community
+    may only have gained members, and then only under plain modularity,
+    where that raises its degree sum ``S_c`` alone.  The insertion gain
+    ``(2 k_i,c - 2 k_i S_c / 2m) / 2m`` then cannot rise: each rounded
+    operation is monotone and ``fl(S_c + k) >= S_c``, so every decision
+    value stays at or below ``_MIN_GAIN`` and the skipped visit would have
+    stayed again.  Under the spatially-near objective a visit that runs
+    reuses the recorded removal gain while its own community is unstamped.
+    Under either objective the moves are those of visiting every node.
     """
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
@@ -416,7 +381,10 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
             kiin = state._neighbor_weights(i)
             k = degrees[i]
             if not sn:
-                # _removal_back_gain's plain form, O(1)
+                # both plain gains inline, with the floating-point operations
+                # of the plain branches of _removal_back_gain and
+                # _insertion_gain; test_identical_coordinates_make_sn_equal_ng
+                # keeps the two copies bit-equal
                 k2 = 2.0 * k
                 if len(old.members) == 1:
                     back = 0.0
@@ -438,7 +406,6 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                     continue
                 cand = communities[label]
                 if not sn:
-                    # _insertion_gain's plain form
                     gain = (2.0 * kiin[label] - k2 * cand.sum_deg / two_m) / two_m - back
                 else:
                     d = None  # distance from i to cand's centre, once a tier takes it
@@ -447,8 +414,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                         sum_deg = cand.sum_deg + k
                         num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
                         base = cand.quality
-                        # tier 1, dispersion 0; a non-positive numerator stays
-                        # non-positive at any dispersion, so its bound ends here
+                        # tier 1
                         if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
                             continue
                         if num > 0.0:
@@ -458,7 +424,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                             dy = y - cy
                             dz = z - cz
                             c2 = dx * dx + dy * dy + dz * dz
-                            # tier 2, the chord: the distance itself on the plane
+                            # tier 2
                             d = math.sqrt(c2) * chord_scale
                             reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
                             if reach > 0.0:
@@ -467,7 +433,7 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                                 if q - base - qs - back <= best_gain:
                                     continue
                             if sphere:
-                                # tier 3, the arc
+                                # tier 3
                                 d = _arc_km(c2)
                                 reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
                                 if reach > 0.0:

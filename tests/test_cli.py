@@ -242,6 +242,14 @@ class TestScore:
         assert lines[1] == f"{ng_modularity(g, p):.12g},{sn_modularity(g, p, params):.12g}"
         assert len(lines) == 3 + p.num_communities
 
+    @pytest.mark.parametrize("header", ["", "node,community\n"], ids=["no-header", "header"])
+    def test_partition_with_a_byte_order_mark(self, fixture_files, tmp_path, header):
+        edges, coords = fixture_files
+        g = load_graph(edges, coords)
+        part = tmp_path / "given.csv"
+        part.write_bytes((header + "".join(f"{i},{i // 3}\n" for i in range(6))).encode("utf-8-sig"))
+        assert read_partition_csv(part, g) == TRIANGLES_PARTITION
+
     def test_partition_header_after_comment_lines(self, fixture_files, tmp_path):
         # the header is the first significant row, as in a coordinate CSV
         edges, coords = fixture_files
@@ -351,6 +359,21 @@ class TestSweep:
         assert n2 == 2 * n1 - 1  # appended, header written once
         out.write_text("something,else\n1,2\n")
         assert main(args) == 2
+
+    def test_appends_after_a_header_with_a_byte_order_mark(self, tmp_path):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("0\t1\n")
+        coords = tmp_path / "c.csv"
+        coords.write_text("0,0,0\n1,0,0\n")
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--edges", str(edges), "--coords", str(coords),
+                "--sigmas", "100", "--algos", "louvain", "--out", str(out)]
+        assert main(args) == 0
+        out.write_bytes(out.read_text().encode("utf-8-sig"))
+        assert main(args) == 0
+        lines = out.read_text(encoding="utf-8-sig").splitlines()
+        assert lines[0] == SWEEP_HEADER
+        assert len(lines) == 3
 
     def test_foreign_header_in_either_file_writes_neither(self, tmp_path, monkeypatch):
         def no_build(spec):

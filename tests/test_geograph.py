@@ -483,6 +483,25 @@ def test_line_endings_give_the_same_error_line_from_every_source(tmp_path, eol):
             load_graph(io.StringIO(LINE_ENDING_EDGES), c)
 
 
+@pytest.mark.parametrize("coords", [
+    # header-less CSV: with the mark read as text, node 0's row looks like a header
+    "0,1.5,2.5\n1,3.5,4.5\n2,5.5,6.5\n",
+    "node,lat,lon\n0,1.5,2.5\n1,3.5,4.5\n2,5.5,6.5\n",
+    LINE_ENDING_COORDS.replace("# user ts lat lon place\n", ""),
+], ids=["csv", "csv-with-header", "check-in"])
+@pytest.mark.parametrize("missing_policy", ["error", "drop"])
+def test_a_byte_order_mark_loads_as_the_same_file_without_one(tmp_path, coords, missing_policy):
+    edges = "0\t1\n1\t2\t2.5\n"
+    want = load(edges, coords, missing_policy=missing_policy)
+    for name, text in (("e.tsv", edges), ("c.txt", coords)):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        (tmp_path / f"bom_{name}").write_bytes(text.encode("utf-8-sig"))
+    for e, c in (("bom_e.tsv", "c.txt"), ("e.tsv", "bom_c.txt"), ("bom_e.tsv", "bom_c.txt")):
+        g = load_graph(tmp_path / e, tmp_path / c, missing_policy=missing_policy)
+        assert g == want
+        assert _bits(g) == _bits(want)
+
+
 def test_edge_errors_come_before_coordinate_errors():
     with pytest.raises(GraphFormatError, match="^edge line 2"):
         load("0\t1\nbroken\n", "0,0,0\n1,oops,0\n")

@@ -193,6 +193,33 @@ def test_span_equals_the_all_pairs_chord_scan_bit_for_bit(pts, metric):
     assert max_pairwise_span_km(pts, metric) == naive_chord_span(pts, metric)
 
 
+# member sets for the join check: none, co-located, antipodal pairs, signed
+# zeros (equal vectors, different bits) and spread points
+limit_sets = st.one_of(
+    st.just([]),
+    st.builds(lambda p, k: [p] * k, points, st.integers(min_value=1, max_value=6)),
+    st.lists(points, min_size=1, max_size=4).map(lambda ps: ps + [_antipode(p) for p in ps]),
+    st.lists(signed_zero_lon, min_size=1, max_size=4),
+    st.lists(points, min_size=1, max_size=12),
+)
+
+
+@given(pts=limit_sets, node=st.one_of(points, signed_zero_lon),
+       metric=st.sampled_from(METRIC_NAMES), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_within_limit_equals_the_exhaustive_scan(pts, node, metric, data):
+    kernel = GeoKernel(pts + [node], metric)
+    members = list(range(len(pts)))
+    # the node is a member itself or a point of its own
+    i = data.draw(st.sampled_from(members + [len(pts)]))
+    far = max((kernel.distance(m, kernel.vecs[i]) for m in members), default=0.0)
+    # the farthest member's distance and one ulp either side; limits are positive
+    limits = [d for d in (math.nextafter(far, -math.inf), far, math.nextafter(far, math.inf)) if d > 0.0]
+    for limit in limits:
+        want = all(kernel.distance(m, kernel.vecs[i]) <= limit for m in members)
+        assert kernel.within_limit(members, i, limit) == want, limit
+
+
 def test_planar_metric():
     assert max_pairwise_span_km([(0, 0), (3, 4)], "planar") == 5.0
     assert planar_centroid([(0, 0), (2, 4)]) == GeoPoint(1.0, 2.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import snmod
 from snmod import louvain
 from snmod.geograph import GeoGraph
 from snmod.geometry import EARTH_RADIUS_KM, METRIC_NAMES, GeoKernel, _arc_km, _sq_chord
@@ -51,6 +52,12 @@ class TestConfigTypes:
         for bad in (1.5, "7", [1], True):
             with pytest.raises(ValueError, match="seed must be None or an integer"):
                 EngineConfig(seed=bad)
+
+
+@pytest.mark.parametrize("name", ["LevelState", "local_move_pass", "move_gain", "aggregate_graph"])
+def test_move_phase_internals_stay_out_of_the_package_root(name):
+    assert hasattr(louvain, name)
+    assert not hasattr(snmod, name)
 
 
 class TestMoveGain:

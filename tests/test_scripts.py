@@ -214,3 +214,34 @@ def test_bench_pairs_summary_on_fixed_lists():
     assert s["metrics"]["solve_s"] == bench.compare(base, change)
     assert s["metrics"]["peak_rss_mb"]["wins"] == 0
     assert s["metrics"]["peak_rss_mb"]["median_gap"] == -1.0
+
+
+def test_code_lines_columns_add_up(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+        'def f():\n    """One line."""\n    return [\n        # inside a list\n        x,\n    ]\n'
+    )
+    lines = _run_script("code_lines.py", str(tmp_path), cwd=tmp_path)
+    assert lines[0].split() == ["module", "lines", "code", "docstring", "comment", "blank"]
+    assert lines[1].split() == ["a.py", "13", "5", "3", "2", "3"]
+    assert lines[2].split() == ["total", "13", "5", "3", "2", "3"]
+    # the package itself: one row per module, then their sums
+    rows = [row.split() for row in _run_script("code_lines.py", cwd=tmp_path)[1:]]
+    assert "louvain.py" in [row[0] for row in rows] and rows[-1][0] == "total"
+    assert [sum(int(row[k]) for row in rows[:-1]) for k in range(1, 6)] == list(map(int, rows[-1][1:]))
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert len(expected) == 4
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3]), (got, want)
+        else:
+            assert got == want
