@@ -166,21 +166,26 @@ def export_geojson(g: GeoGraph, p: Partition, path) -> None:
 
 
 def _check_csv_header(path, header: str) -> bool:
-    """Return whether ``path`` holds data; raise if its first line is not ``header``."""
+    """Return whether ``path`` holds data; raise if its first line is not ``header``.
+
+    A file holding nothing but a byte-order mark and blank lines holds no data.
+    """
     path = Path(path)
-    if not (path.exists() and path.stat().st_size > 0):
+    if not path.exists():
         return False
     with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline().strip()
+        if not first and not fh.read().strip():
+            return False
     if first != header:
         raise GraphDataError(f"{path} exists with a different header; refusing to append")
     return True
 
 
 def _append_csv(path, header: str, rows: list[str]) -> None:
-    """Append rows, writing the header only for a new or empty file."""
+    """Append rows; a file without data is overwritten, starting with the header."""
     exists = _check_csv_header(path, header)
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
+    with open(path, "a" if exists else "w", encoding="utf-8", newline="\n") as fh:
         if not exists:
             fh.write(header + "\n")
         for row in rows:

@@ -13,6 +13,7 @@ node's weighted degree to a modularity score, is added left to right by
 """
 
 import bisect
+import itertools
 import math
 import operator
 import os
@@ -317,12 +318,20 @@ def load_graph(
 def _read(source, parse, *args):
     """Run ``parse`` over the lines of a path, file object or line iterable.
 
-    A path is read as UTF-8, with or without a leading byte-order mark.
+    A path is read as UTF-8.  A byte-order mark that starts the first line
+    is dropped, whatever the source.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return parse(fh, *args)
-    return parse(source, *args)
+        with open(source, "r", encoding="utf-8") as fh:
+            return parse(_without_bom(fh), *args)
+    return parse(_without_bom(source), *args)
+
+
+def _without_bom(lines: Iterable[str]) -> Iterable[str]:
+    lines = iter(lines)
+    for first in lines:
+        return itertools.chain((first.removeprefix("\ufeff"),), lines)
+    return lines
 
 
 def _parse_edges(lines: Iterable[str]) -> dict[tuple[int, int], float]:

@@ -1,23 +1,24 @@
 """Two-phase greedy modularity optimizer, generic over the objective.
 
-The first phase repeatedly sweeps nodes, moving each into the neighboring
+The first phase visits nodes from a queue, moving each into the neighboring
 community (or a fresh singleton) with the largest objective gain; the second
 phase collapses communities into meta-nodes, carrying accumulated edge
 weights as self-loops and placing each meta-node at its community's center.
-The phases alternate until a sweep moves nothing.
+The phases alternate until a level moves nothing.
 
 Internal-weight and degree sums are cached incrementally; cached qualities
 and exact spatially-near gains are built from
 :func:`snmod.metrics.community_term`, the term the scores sum.  The move
-phase prunes candidates by O(1) bounds and skips visits that would stay;
-neither changes a decision (see :func:`local_move_pass`).  The optional join
-constraint of :class:`EngineConfig` is what the iterated-constraint
-heuristic in :mod:`snmod.snic` relies on.
+phase prunes candidates by O(1) bounds, which never changes a decision (see
+:func:`local_move_pass`).  The optional join constraint of
+:class:`EngineConfig` is what the iterated-constraint heuristic in
+:mod:`snmod.snic` relies on.
 """
 
 import bisect
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .geograph import GeoGraph
@@ -55,9 +56,9 @@ class EngineConfig:
     objective only; the optimizer refuses it under plain modularity.  It
     holds against every member at node resolution on level 0 only: coarsened
     levels check it between meta-node centres, so a final community may span
-    more than the constraint.  ``seed=None`` visits nodes in ascending order;
-    an int derives one shuffled visit order per level from it, so runs are
-    deterministic for a fixed config.
+    more than the constraint.  ``seed=None`` queues each level's nodes in
+    ascending order; an int derives one shuffled initial queue order per level
+    from it, so runs are deterministic for a fixed config.
     """
 
     join_constraint_km: float = math.inf
@@ -71,10 +72,7 @@ class EngineConfig:
 
 
 class _Community:
-    __slots__ = (
-        "members", "sum_deg", "sum_in", "sums", "centroid", "dispersion", "radius", "quality",
-        "stamp", "opened",
-    )
+    __slots__ = ("members", "sum_deg", "sum_in", "sums", "centroid", "dispersion", "radius", "quality")
 
     def __init__(self):
         self.members: list[int] = []
@@ -88,9 +86,6 @@ class _Community:
         # sigma * sqrt(dispersion): no member is farther from the centroid
         self.radius = 0.0
         self.quality = 0.0
-        # move clocks, opened <= stamp (see local_move_pass)
-        self.stamp = 0
-        self.opened = 0
 
 
 class LevelState:
@@ -99,8 +94,7 @@ class LevelState:
     Holds the node -> community assignment (singletons by default) plus
     per-community caches.  A state is built for one objective, plain
     modularity when ``params`` is None, and is single-threaded; the graph is
-    never mutated.  ``clock`` counts the moves applied (see
-    :func:`local_move_pass`).
+    never mutated.
     """
 
     def __init__(self, graph: GeoGraph, params: SNParams | None, assignment=None, visit_order=None):
@@ -123,7 +117,6 @@ class LevelState:
         self.comm = list(range(n)) if assignment is None else [int(c) for c in assignment]
         check_assignment(graph, self.comm)
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
-        self.clock = 0
         self.communities: dict[int, _Community] = {}
         for i, c in enumerate(self.comm):
             entry = self.communities.setdefault(c, _Community())
@@ -204,9 +197,6 @@ class LevelState:
         """Move i out of old_label into new_label (None = fresh singleton)."""
         old = self.communities[old_label]
         k = self.graph.degrees[i]
-        self.clock += 1
-        clock = self.clock
-        old.stamp = old.opened = clock
         old.members.remove(i)
         old.sum_deg -= k
         old.sum_in -= 2.0 * kiin.get(old_label, 0.0) + self.self_w[i]
@@ -220,9 +210,6 @@ class LevelState:
             target = self.communities.setdefault(new_label, _Community())
         else:
             target = self.communities[new_label]
-        target.stamp = clock
-        if self.params is not None:
-            target.opened = clock
         bisect.insort(target.members, i)
         target.sum_deg += k
         target.sum_in += 2.0 * kiin.get(new_label, 0.0) + self.self_w[i]
@@ -269,29 +256,24 @@ def _join_verdict(d: float, radius: float, limit: float) -> bool | None:
     return None
 
 
-def _unchanged(communities: dict[int, _Community], own: int, labels, clock: int) -> bool:
-    """True when no move has stamped community ``own`` after move clock
-    ``clock``, and every labelled community still exists and no move has
-    opened it since."""
-    if communities[own].stamp > clock:
-        return False
-    for label in labels:
-        c = communities.get(label)
-        if c is None or c.opened > clock:
-            return False
-    return True
-
-
 def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
-    """Sweep nodes until a full sweep moves nothing; returns (moved, state).
+    """Visit queued nodes until the queue is empty; returns (moved, state).
 
-    Each node is tested, under the objective the state was built for,
-    against every distinct neighboring community and a fresh singleton; the
-    best strictly-improving move (gain > ``_MIN_GAIN``) is applied,
-    preferring to stay on ties and the smallest community label otherwise.
-    With a finite join constraint, a community is a candidate only when the
-    node is within the constraint of all current members; a finite one under
-    plain modularity raises ValueError.
+    The queue starts as ``state.visit_order``.  Each node taken from it is
+    tested, under the objective the state was built for, against every
+    distinct neighboring community and a fresh singleton; the best
+    strictly-improving move (gain > ``_MIN_GAIN``) is applied, preferring to
+    stay on ties and the smallest community label otherwise.  With a finite
+    join constraint, a community is a candidate only when the node is within
+    the constraint of all current members; a finite one under plain
+    modularity raises ValueError.
+
+    When a node moves, each neighbor that is neither queued nor in the
+    node's new community joins the back of the queue, in adjacency order:
+    the fast local move of Traag, Waltman & van Eck (From Louvain to Leiden,
+    2019).  A move also changes gains that it queues no node for, such as
+    those of members of the communities it leaves and enters, so a node may
+    be left with an improving move when the queue empties.
 
     Under the spatially-near objective each candidate is bound, then
     verified.  Every member lies within the candidate's radius of its
@@ -323,26 +305,6 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     vector sums (see :meth:`snmod.geometry.GeoKernel.stats`).  Candidates
     are still visited in label order, so a skipped one could never have
     been chosen and the moves are exactly those of a full scan.
-
-    Each community keeps two move clocks: ``stamp``, the last move that
-    touched it, and ``opened``, the last move that may have raised a
-    non-member's gain of joining it.  A move stamps both communities it
-    touches and opens the one it leaves; under the spatially-near objective
-    it opens the one it enters too, since an arrival moves the centre.  A
-    node that decides to stay records the move clock, the neighboring labels
-    it read and its removal gain.  Its next visit is skipped while its own
-    community is unstamped since that clock and every neighboring community
-    still exists unopened since (:func:`_unchanged`).  Every departure opens
-    its community and labels are never reused, so the node's community
-    weights and its removal gain are those it read.  A neighboring community
-    may only have gained members, and then only under plain modularity,
-    where that raises its degree sum ``S_c`` alone.  The insertion gain
-    ``(2 k_i,c - 2 k_i S_c / 2m) / 2m`` then cannot rise: each rounded
-    operation is monotone and ``fl(S_c + k) >= S_c``, so every decision
-    value stays at or below ``_MIN_GAIN`` and the skipped visit would have
-    stayed again.  Under the spatially-near objective a visit that runs
-    reuses the recorded removal gain while its own community is unstamped.
-    Under either objective the moves are those of visiting every node.
     """
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
@@ -366,106 +328,102 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
         # tier 2's distance per unit of chord: R on the sphere, 1 on the plane
         chord_scale = EARTH_RADIUS_KM if sphere else 1.0
         keep = 1.0 - _BOUND_SLACK
-    # per node: (clock, neighboring labels read, removal gain) of its last
-    # stay, else None; its own community is the one it is still in
-    stays: list[tuple | None] = [None] * state.graph.num_nodes
-    total_moved = 0
-    while True:
-        moved = 0
-        for i in state.visit_order:
-            seen = stays[i]
-            old_label = comm[i]
-            if seen is not None and _unchanged(communities, old_label, seen[1], seen[0]):
-                continue
-            old = communities[old_label]
-            kiin = state._neighbor_weights(i)
-            k = degrees[i]
-            if not sn:
-                # both plain gains inline, with the floating-point operations
-                # of the plain branches of _removal_back_gain and
-                # _insertion_gain; test_identical_coordinates_make_sn_equal_ng
-                # keeps the two copies bit-equal
-                k2 = 2.0 * k
-                if len(old.members) == 1:
-                    back = 0.0
-                else:
-                    back = (2.0 * kiin.get(old_label, 0.0) - k2 * (old.sum_deg - k) / two_m) / two_m
-            elif seen is not None and _unchanged(communities, old_label, (), seen[0]):
-                back = seen[2]
+    queue = deque(state.visit_order)
+    queued = [False] * state.graph.num_nodes
+    for i in queue:
+        queued[i] = True
+    adj = state.graph.adj
+    moved = 0
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        old_label = comm[i]
+        old = communities[old_label]
+        kiin = state._neighbor_weights(i)
+        k = degrees[i]
+        if not sn:
+            # both plain gains inline, with the floating-point operations of
+            # the plain branches of _removal_back_gain and _insertion_gain;
+            # test_identical_coordinates_make_sn_equal_ng keeps the two
+            # copies bit-equal
+            k2 = 2.0 * k
+            if len(old.members) == 1:
+                back = 0.0
             else:
-                back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
-            if prune:
-                vec = vecs[i]
-                x, y, z = vec
-                grow = self_w[i]
-                qs = q_single[i]
-            best_label: int | None = old_label
-            best_gain = 0.0
-            for label in sorted(kiin):
-                if label == old_label:
-                    continue
-                cand = communities[label]
-                if not sn:
-                    gain = (2.0 * kiin[label] - k2 * cand.sum_deg / two_m) / two_m - back
-                else:
-                    d = None  # distance from i to cand's centre, once a tier takes it
-                    # the co-located shortcut is exact in O(1) already
-                    if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
-                        sum_deg = cand.sum_deg + k
-                        num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
-                        base = cand.quality
-                        # tier 1
-                        if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
-                            continue
-                        if num > 0.0:
-                            radius = cand.radius
-                            cx, cy, cz = cand.centroid
-                            dx = x - cx
-                            dy = y - cy
-                            dz = z - cz
-                            c2 = dx * dx + dy * dy + dz * dz
-                            # tier 2
-                            d = math.sqrt(c2) * chord_scale
+                back = (2.0 * kiin.get(old_label, 0.0) - k2 * (old.sum_deg - k) / two_m) / two_m
+        else:
+            back = state._removal_back_gain(i, old, kiin.get(old_label, 0.0))
+        if prune:
+            vec = vecs[i]
+            x, y, z = vec
+            grow = self_w[i]
+            qs = q_single[i]
+        best_label: int | None = old_label
+        best_gain = 0.0
+        for label in sorted(kiin):
+            if label == old_label:
+                continue
+            cand = communities[label]
+            if not sn:
+                gain = (2.0 * kiin[label] - k2 * cand.sum_deg / two_m) / two_m - back
+            else:
+                d = None  # distance from i to cand's centre, once a tier takes it
+                # the co-located shortcut is exact in O(1) already
+                if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
+                    sum_deg = cand.sum_deg + k
+                    num = cand.sum_in + 2.0 * kiin[label] + grow - sum_deg * sum_deg / two_m
+                    base = cand.quality
+                    # tier 1
+                    if (num / two_m if num > 0.0 else 0.0) - base - qs - back <= best_gain:
+                        continue
+                    if num > 0.0:
+                        radius = cand.radius
+                        cx, cy, cz = cand.centroid
+                        dx = x - cx
+                        dy = y - cy
+                        dz = z - cz
+                        c2 = dx * dx + dy * dy + dz * dz
+                        # tier 2
+                        d = math.sqrt(c2) * chord_scale
+                        reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
+                        if reach > 0.0:
+                            scaled = reach / sigma
+                            q = num / (1.0 + scaled * scaled * keep) / two_m
+                            if q - base - qs - back <= best_gain:
+                                continue
+                        if sphere:
+                            # tier 3
+                            d = _arc_km(c2)
                             reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
                             if reach > 0.0:
                                 scaled = reach / sigma
                                 q = num / (1.0 + scaled * scaled * keep) / two_m
                                 if q - base - qs - back <= best_gain:
                                     continue
-                            if sphere:
-                                # tier 3
-                                d = _arc_km(c2)
-                                reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
-                                if reach > 0.0:
-                                    scaled = reach / sigma
-                                    q = num / (1.0 + scaled * scaled * keep) / two_m
-                                    if q - base - qs - back <= best_gain:
-                                        continue
-                    if constrained:
-                        if d is None:
-                            d = kernel.distance(i, cand.centroid)
-                        ok = _join_verdict(d, cand.radius, limit)
-                        if ok is None:
-                            ok = kernel.within_limit(cand.members, i, limit)
-                        if not ok:
-                            continue
-                    gain = state._insertion_gain(i, cand, kiin[label]) - back
-                if gain > best_gain:
-                    best_gain = gain
-                    best_label = label
-            fresh_gain = -back
-            if fresh_gain > best_gain:
-                best_gain = fresh_gain
-                best_label = None
-            if best_label != old_label and best_gain > _MIN_GAIN:
-                state._apply_move(i, old_label, best_label, kiin)
-                stays[i] = None
-                moved += 1
-            else:
-                stays[i] = (state.clock, tuple(kiin), back)
-        total_moved += moved
-        if moved == 0:
-            return total_moved, state
+                if constrained:
+                    if d is None:
+                        d = kernel.distance(i, cand.centroid)
+                    ok = _join_verdict(d, cand.radius, limit)
+                    if ok is None:
+                        ok = kernel.within_limit(cand.members, i, limit)
+                    if not ok:
+                        continue
+                gain = state._insertion_gain(i, cand, kiin[label]) - back
+            if gain > best_gain:
+                best_gain = gain
+                best_label = label
+        fresh_gain = -back
+        if fresh_gain > best_gain:
+            best_gain = fresh_gain
+            best_label = None
+        if best_label != old_label and best_gain > _MIN_GAIN:
+            new_label = state._apply_move(i, old_label, best_label, kiin)
+            moved += 1
+            for j, _ in adj[i]:
+                if not queued[j] and comm[j] != new_label:
+                    queued[j] = True
+                    queue.append(j)
+    return moved, state
 
 
 def aggregate_graph(g: GeoGraph, p: Partition, metric: str = "haversine") -> GeoGraph:

@@ -375,6 +375,28 @@ class TestSweep:
         assert lines[0] == SWEEP_HEADER
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("text", ["\ufeff", "\n", "\ufeff\n \n"], ids=["mark", "blank", "mark-blanks"])
+    def test_a_file_without_rows_takes_the_header(self, tmp_path, text):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("0\t1\n")
+        coords = tmp_path / "c.csv"
+        coords.write_text("0,0,0\n1,0,0\n")
+        out = tmp_path / "sweep.csv"
+        improvements = tmp_path / "sweep_improvements.csv"
+        args = ["sweep", "--edges", str(edges), "--coords", str(coords),
+                "--sigmas", "100", "--algos", "louvain", "--out", str(out)]
+        for path in (out, improvements):
+            path.write_text(text, encoding="utf-8")
+        assert main(args) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == SWEEP_HEADER
+        assert len(lines) == 2
+        assert improvements.read_text(encoding="utf-8").splitlines() == [IMPROVEMENT_HEADER]
+        assert main(args) == 0
+        again = out.read_text(encoding="utf-8").splitlines()
+        assert again[:2] == lines
+        assert len(again) == 3 and again[2] != SWEEP_HEADER
+
     def test_foreign_header_in_either_file_writes_neither(self, tmp_path, monkeypatch):
         def no_build(spec):
             raise AssertionError("a dataset was built")

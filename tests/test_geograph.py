@@ -500,6 +500,12 @@ def test_a_byte_order_mark_loads_as_the_same_file_without_one(tmp_path, coords, 
         g = load_graph(tmp_path / e, tmp_path / c, missing_policy=missing_policy)
         assert g == want
         assert _bits(g) == _bits(want)
+    # a file object or a list of lines whose text starts with the mark
+    for source in (io.StringIO, lambda text: text.splitlines(keepends=True)):
+        for e, c in (("\ufeff" + edges, coords), (edges, "\ufeff" + coords)):
+            g = load_graph(source(e), source(c), missing_policy=missing_policy)
+            assert g == want
+            assert _bits(g) == _bits(want)
 
 
 def test_edge_errors_come_before_coordinate_errors():

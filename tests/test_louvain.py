@@ -507,12 +507,6 @@ def _logged(run, **patches):
         return run(), moves
 
 
-def _no_skip(communities, own, labels, clock):
-    """Stand-in for ``louvain._unchanged`` under which every visit runs in
-    full and recomputes its removal gain."""
-    return False
-
-
 def _float_weighted_graph(rng: random.Random, n: int, edge_p: float) -> GeoGraph:
     """A random graph with weights spread over several orders of magnitude,
     collapsed over a random partition: self-loops and non-integer degree
@@ -532,7 +526,7 @@ def _detect(g, mode: str, params: SNParams, cfg: EngineConfig):
     return run_louvain(g, None if mode == "ng" else params, cfg), None
 
 
-class TestStampSkip:
+class TestNodeQueue:
     @given(
         seed=seeds,
         mode=st.sampled_from(["ng", "sn", "snic"]),
@@ -541,8 +535,7 @@ class TestStampSkip:
         weights=st.sampled_from(["uniform", "float"]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_skips_change_no_decision(self, seed, mode, metric, agg, weights):
-        # every move, in order, equals that of visiting every node in full
+    def test_a_move_queues_the_neighbours_outside_the_new_community(self, seed, mode, metric, agg, weights):
         rng = random.Random(seed)
         n, edge_p = rng.randint(2, 40), rng.choice([0.05, 0.15, 0.4])
         if weights == "uniform":
@@ -553,156 +546,50 @@ class TestStampSkip:
         params = SNParams((1500.0 if metric == "haversine" else 30.0) * scale, agg=agg, metric=metric)
         limit = rng.choice([math.inf, params.sigma]) if mode == "sn" else math.inf
         cfg = EngineConfig(join_constraint_km=limit, seed=seed)
-        run = lambda: _detect(g, mode, params, cfg)
-        assert _logged(run) == _logged(run, _unchanged=_no_skip)
+        # per pass: its state and its events in order, ("visit", i) or
+        # ("move", i, the neighbours left outside i's new community)
+        passes = []
+        original = louvain.local_move_pass
+        neighbor_weights, apply_move = LevelState._neighbor_weights, LevelState._apply_move
 
-    @pytest.mark.parametrize("metric,sigma", [("haversine", 300.0), ("planar", 3.0)])
-    def test_skips_save_visits_and_scans(self, monkeypatch, metric, sigma):
-        spec = SyntheticSpec(
-            n_nodes=300, n_clusters=5, p_intra=0.06, p_inter=0.004,
-            spacing_km=2000.0, spread_km=20.0, geo_mode="scattered", seed=4,
-        )
-        g, _ = planted_geo_clusters(spec)
-        cfg = EngineConfig(seed=4)
-        work = {"visits": 0, "scans": 0}
-        stats, neighbor_weights = GeoKernel.stats, LevelState._neighbor_weights
+        def logged_pass(state, cfg=EngineConfig()):
+            passes.append((state, []))
+            return original(state, cfg)
 
-        def counted_stats(self, *args, **kwargs):
-            work["scans"] += 1
-            return stats(self, *args, **kwargs)
-
-        def counted_visit(self, i):
-            work["visits"] += 1
+        def logged_visit(self, i):
+            passes[-1][1].append(("visit", i))
             return neighbor_weights(self, i)
 
-        monkeypatch.setattr(GeoKernel, "stats", counted_stats)
-        monkeypatch.setattr(LevelState, "_neighbor_weights", counted_visit)
+        def logged_move(self, i, *args):
+            new_label = apply_move(self, i, *args)
+            outside = {j for j, _ in self.graph.adj[i] if j != i and self.comm[j] != new_label}
+            passes[-1][1].append(("move", i, outside))
+            return new_label
 
-        def measured(mode):
-            work.update(visits=0, scans=0)
-            return _detect(g, mode, SNParams(sigma, metric=metric), cfg), dict(work)
-
-        skipping = {mode: measured(mode) for mode in ("ng", "snic")}
-        monkeypatch.setattr(louvain, "_unchanged", _no_skip)
-        full = {mode: measured(mode) for mode in ("ng", "snic")}
-        for mode in ("ng", "snic"):
-            assert skipping[mode][0] == full[mode][0]
-            assert skipping[mode][1]["visits"] < full[mode][1]["visits"]
-        assert skipping["snic"][1]["scans"] < full["snic"][1]["scans"]
-
-    def test_stamp_catches_a_join_the_node_cannot_see(self, monkeypatch):
-        # v = 0 is tied only to u = 1, whose community {1, 2} lies 3 units
-        # south of v.  w = 3, tied to u but not to v, sits north-east of v;
-        # 4-5 is an unrelated pair that only adds to 2m.  Visiting v first,
-        # joining {1, 2} loses, so v stays.  Then w joins {1, 2}, which pulls
-        # that community's centre north: adding v now shrinks its dispersion,
-        # and joining wins.  Neither v's community nor any neighbour's label
-        # changed; only the stamp on {1, 2} tells v's next visit to run.
-        coords = {0: (0.0, 0.0), 1: (1.0, -3.0), 2: (0.0, -3.0), 3: (1.0, 1.0), 4: (0.0, 9.0), 5: (0.0, 9.0)}
-        g = GeoGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0), (1, 3, 3.0), (4, 5, 3.0)], coords)
-        params = SNParams(1.0, metric="planar")
-        start = Partition.from_assignment([0, 1, 1, 2, 3, 3])
-        order = [0, 3, 1, 2, 4, 5]
-        moves = []
-        apply_move = LevelState._apply_move
-
-        def logged_move(self, i, old_label, new_label, kiin):
-            moves.append((i, new_label))
-            return apply_move(self, i, old_label, new_label, kiin)
-
-        monkeypatch.setattr(LevelState, "_apply_move", logged_move)
-        state = LevelState(g, params, start.assignment, visit_order=order)
-        label_c = state.comm[1]
-        assert move_gain(state, 0, label_c) < 0.0
-        _, state = local_move_pass(state)
-        assert moves == [(3, label_c), (0, label_c)]
-        assert state.extract_partition() == Partition.from_assignment([0, 0, 0, 0, 1, 1])
-
-        # a skip that checked labels alone would have kept v where it was
-        labels_only = lambda communities, own, labels, clock: all(c in communities for c in (own, *labels))
-        monkeypatch.setattr(louvain, "_unchanged", labels_only)
-        moves.clear()
-        _, state = local_move_pass(LevelState(g, params, start.assignment, visit_order=order))
-        assert moves == [(3, label_c)]
-
-    @staticmethod
-    def _ng_run(monkeypatch, edges, start, order, **patches):
-        """Plain-modularity pass from ``start``, with ``patches`` as for
-        :func:`_logged`: its moves as (node, label), the nodes whose visits
-        ran, in order, and the final partition."""
-        g = GeoGraph.from_edges(edges, {i: (0.0, float(i)) for i in range(len(start))})
-        visits = []
-        neighbor_weights = LevelState._neighbor_weights
-
-        def counted_visit(self, i):
-            visits.append(i)
-            return neighbor_weights(self, i)
-
-        run = lambda: local_move_pass(LevelState(g, None, start, visit_order=order))[1].extract_partition()
-        with monkeypatch.context() as mp:
-            mp.setattr(LevelState, "_neighbor_weights", counted_visit)
-            p, moves = _logged(run, **patches)
-        return [(i, new_label) for _, i, _, new_label in moves], visits, p
-
-    def test_ng_arrival_keeps_a_stay(self, monkeypatch):
-        # v = 0 sits with x = 4 (weight 5) and is tied to u = 1 (weight 1),
-        # whose community C = {1, 2} it declines to join.  w = 3, tied to u
-        # but not to v, then joins C.  That only raises C's degree sum, which
-        # cannot raise v's plain gain of joining C, so v's next visit is
-        # skipped; a rule that checked every stamp ran it again.
-        edges = [(0, 4, 5.0), (0, 1, 1.0), (1, 2, 3.0), (3, 1, 3.0)]
-        start, order = [0, 1, 1, 2, 0], [0, 3, 1, 2, 4]
-        moves, visits, p = self._ng_run(monkeypatch, edges, start, order)
-        assert moves == [(3, 1)]
-        assert visits.count(0) == 1
-        assert p == Partition.from_assignment([0, 1, 1, 1, 0])
-
-        stamps = lambda communities, own, labels, clock: all(
-            c in communities and communities[c].stamp <= clock for c in (own, *labels)
-        )
-        stamped = self._ng_run(monkeypatch, edges, start, order, _unchanged=stamps)
-        assert (stamped[0], stamped[2]) == (moves, p)
-        assert stamped[1].count(0) == 2
-
-    def test_ng_departure_turns_a_stay_into_a_move(self, monkeypatch):
-        # v = 0 sits with x = 4 (weight 1) and is tied to u = 1 (weight 2) in
-        # C = {1, 2, 5}, whose degree sum 9 keeps v out: joining gains
-        # (4 - 6 * 9 / 16) / 16 against a removal loss of (2 - 6 / 16) / 16.
-        # y = 2, in C but tied only to z = 3, leaves for z.  C's sum falls
-        # to 6, joining now gains (4 - 6 * 6 / 16) / 16, and v moves, x in
-        # its wake.  Only the departure's opened clock tells v to look again.
-        edges = [(0, 4, 1.0), (0, 1, 2.0), (1, 5, 2.0), (2, 3, 3.0)]
-        start, order = [0, 1, 1, 2, 0, 1], [0, 2, 1, 5, 3, 4]
-        moves, _, p = self._ng_run(monkeypatch, edges, start, order)
-        assert moves == [(2, 2), (0, 1), (4, 1)]
-        assert p == Partition.from_assignment([0, 0, 1, 1, 0, 0])
-
-        # a predicate that ignores opened keeps v where it was
-        stamp_own = lambda communities, own, labels, clock: communities[own].stamp <= clock and all(
-            c in communities for c in labels
-        )
-        moves, _, p = self._ng_run(monkeypatch, edges, start, order, _unchanged=stamp_own)
-        assert moves == [(2, 2)]
-        assert p == Partition.from_assignment([0, 1, 2, 2, 0, 1])
-
-    def test_ng_arrival_into_the_own_community_turns_a_stay_into_a_move(self, monkeypatch):
-        # v = 0 sits with x = 3 (weight 1) and is tied to u = 1 (weight 1) in
-        # C = {1, 4}: joining gains (2 - 4 * 5 / 14) / 14 against a removal
-        # loss of (2 - 4 * 4 / 14) / 14, so v stays.  w = 2, tied to x but
-        # not to v, joins v's community; its degree sum rises from 6 to 9,
-        # the loss falls to (2 - 4 * 7 / 14) / 14 = 0, and v moves.  Only the
-        # stamp on v's own community tells its next visit to run: an arrival
-        # opens nothing under plain modularity.
-        edges = [(0, 3, 1.0), (0, 1, 1.0), (1, 4, 2.0), (2, 3, 3.0)]
-        start, order = [0, 1, 2, 0, 1], [0, 2, 1, 4, 3]
-        moves, _, p = self._ng_run(monkeypatch, edges, start, order)
-        assert moves[:2] == [(2, 0), (0, 1)]
-
-        opened_only = lambda communities, own, labels, clock: all(
-            c in communities and communities[c].opened <= clock for c in (own, *labels)
-        )
-        moves, _, _ = self._ng_run(monkeypatch, edges, start, order, _unchanged=opened_only)
-        assert moves == [(2, 0)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(louvain, "local_move_pass", logged_pass)
+            mp.setattr(LevelState, "_neighbor_weights", logged_visit)
+            mp.setattr(LevelState, "_apply_move", logged_move)
+            _detect(g, mode, params, cfg)
+        assert passes
+        for state, events in passes:
+            if state.two_m == 0:
+                assert events == []
+                continue
+            visits = [e[1] for e in events if e[0] == "visit"]
+            # every node is visited at least once
+            assert set(visits) == set(range(state.graph.num_nodes))
+            queued_by = [0] * state.graph.num_nodes
+            for t, event in enumerate(events):
+                if event[0] == "move":
+                    later = {e[1] for e in events[t + 1:] if e[0] == "visit"}
+                    # every neighbour left outside the mover's new community
+                    # is visited again later in the pass
+                    assert event[2] <= later
+                    for j in event[2]:
+                        queued_by[j] += 1
+            # and no node is visited more often than the moves queued it
+            assert all(visits.count(j) <= 1 + queued_by[j] for j in range(state.graph.num_nodes))
 
 
 def _assert_caches_fresh(state: LevelState) -> None:
@@ -763,11 +650,6 @@ def test_incremental_caches_do_not_drift(monkeypatch, params, cfg):
     def checked_pass(state, cfg=EngineConfig()):
         result = original(state, cfg)
         _assert_caches_fresh(state)
-        assert all(c.opened <= c.stamp <= state.clock for c in state.communities.values())
-        # no skipped visit hid an improving move: visiting every node moves nothing
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(louvain, "_unchanged", _no_skip)
-            assert original(state, cfg)[0] == 0
         levels.append(state.graph.num_nodes)
         return result
 
