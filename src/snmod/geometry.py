@@ -107,6 +107,30 @@ def _arc_km(c2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(h if h < 1.0 else 1.0)
 
 
+def _sq_sum(a, b) -> float:
+    """Squared length of the sum of two 3-D vectors."""
+    sx = a[0] + b[0]
+    sy = a[1] + b[1]
+    sz = a[2] + b[2]
+    return sx * sx + sy * sy + sz * sz
+
+
+_HALF_TURN_KM = math.pi * EARTH_RADIUS_KM
+
+
+def _sum_to_km(s2: float) -> float:
+    """Great-circle distance of two unit vectors from their squared sum
+    |a + b|²: πR - 2R asin(|a + b| / 2).
+
+    Used past a quarter circle, where it is well conditioned.  Near
+    antipodal the chord nears 2 and 2R asin(chord / 2) magnifies its
+    rounding without bound (about 1e-9 km at 0.1 degree from antipodal,
+    2e-4 km at the antipode), while the short sum vector keeps an absolute
+    error of a few 1e-16.
+    """
+    return _HALF_TURN_KM - 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(s2) * 0.5)
+
+
 # Widening of the triangle bound (r_a + r_b)² that ends a span scan.  The
 # rounded chord of a pair and the rounded radii each stay within a few
 # relative 2^-53 of their exact values (every input is a stored vector, so
@@ -134,9 +158,12 @@ class GeoKernel:
     chord between two vectors, ``2R asin(chord / 2)`` on the sphere and the
     chord itself on the plane, so the metric matters only when the vectors
     are built, when a centre is taken and when a chord becomes a distance.
+    The one exception is a pair past a quarter circle on the sphere in a
+    span or a join check, which is mapped from the pair's squared sum
+    instead (:func:`_sum_to_km`).
     Member sets are python lists of node indices.  Every centre comes from
     the one summing pass, :meth:`_sums`; dispersions (:meth:`stats`) and
-    spans (:meth:`_span_chord2`) then make one distance pass.
+    spans (:meth:`_farthest_pair`) then make one distance pass.
     """
 
     def __init__(self, points: Sequence, metric: str = "haversine"):
@@ -256,34 +283,47 @@ class GeoKernel:
 
     def max_span(self, member_sets: Iterable[Sequence[int]]) -> float:
         """Largest pairwise distance within any one member set; 0 for none."""
-        best = 0.0
+        best = (0.0, math.inf)
         for members in member_sets:
-            best = self._span_chord2(members, best)
-        return self._km(best)
+            best = self._farthest_pair(members, best)
+        c2, s2 = best
+        return self._km(c2) if s2 == math.inf else _sum_to_km(s2)
 
-    def _span_chord2(self, members: Sequence[int], best: float) -> float:
-        """Largest squared chord between two members, or ``best`` when none
-        exceeds it.
+    def _farthest_pair(
+        self, members: Sequence[int], best: tuple[float, float]
+    ) -> tuple[float, float]:
+        """``(c2, s2)`` of the farthest pair of members, or ``best`` when no
+        pair is farther.
+
+        ``c2`` is a pair's squared chord |a - b|².  On the sphere a pair
+        past a quarter circle (c2 > 2) also has ``s2``, its squared sum
+        |a + b|², and such pairs rank by the smaller s2, from which
+        :func:`_sum_to_km` maps the distance; ``s2`` is inf for every other
+        pair.  Any two pairs with the same key have the same distance.
 
         Members are ranked by their distance r to the plain mean c of their
         vectors, farthest first.  Since |a - b| <= r_a + r_b, a pair whose
-        widened bound (r_a + r_b)² cannot beat ``best`` is skipped; so are
-        the rest of its row, whose radii are smaller, and, when it is a
-        row's first pair, every later row.  The pairs left compute the same
-        chords as an all-pairs scan, so the result is bit-identical; spread
-        sets scan few pairs, while a set whose members are all about equally
-        far from c still scans all of them.
+        widened bound (r_a + r_b)² cannot beat ``best``'s chord is skipped;
+        so are the rest of its row, whose radii are smaller, and, when it is
+        a row's first pair, every later row.  A pair that beats a far
+        ``best`` by s2 has a chord at most about 1e-14 below best's, since
+        c2 + s2 = 4 up to rounding, and the widening covers that.  The pairs
+        left compute the same keys as an all-pairs scan, so the result is
+        bit-identical; spread sets scan few pairs, while a set whose members
+        are all about equally far from c still scans all of them.
         """
         sx, sy, sz, n, same = self._sums(members)
         if n < 2 or same:
             return best
+        best, best_s2 = best
+        sphere = self.metric == "haversine"
         vecs = self.vecs
         pts = [vecs[i] for i in members]
         c = (sx / n, sy / n, sz / n)
         radii = [math.sqrt(_sq_chord(v, c)) for v in pts]
         r = 2.0 * max(radii)  # bounds every pair's r_a + r_b
         if r * r * _SPAN_WIDEN + _SPAN_FLOOR <= best:
-            return best
+            return best, best_s2
         order = sorted(range(n), key=radii.__getitem__, reverse=True)
         rs = [radii[k] for k in order]
         vs = [pts[k] for k in order]
@@ -294,15 +334,31 @@ class GeoKernel:
                 r = ra + rs[b]
                 if r * r * _SPAN_WIDEN + _SPAN_FLOOR <= best:
                     break
-                c2 = _sq_chord(va, vs[b])
-                if c2 > best:
+                vb = vs[b]
+                c2 = _sq_chord(va, vb)
+                if c2 > 2.0 and sphere:
+                    s2 = _sq_sum(va, vb)
+                    if s2 < best_s2:
+                        best, best_s2 = c2, s2
+                elif c2 > best:
                     best = c2
             else:
                 continue
             if b == a + 1:
                 break
-        return best
+        return best, best_s2
 
     def within_limit(self, members: Sequence[int], i: int, limit_km: float) -> bool:
-        """True when every member lies within ``limit_km`` of node ``i``."""
-        return self._km(self._max_chord2(self.vecs[i], members)) <= limit_km
+        """True when every member lies within ``limit_km`` of node ``i``.
+
+        Each member's distance is the one :meth:`max_span` gives the pair,
+        so a join at exactly a span that SNIC passes on as its constraint
+        is allowed, and :meth:`_farthest_pair` explains the ranking.
+        """
+        v = self.vecs[i]
+        c2 = self._max_chord2(v, members)
+        if c2 > 2.0 and self.metric == "haversine":
+            vecs = self.vecs
+            s2 = min(_sq_sum(v, vecs[m]) for m in members if _sq_chord(v, vecs[m]) > 2.0)
+            return _sum_to_km(s2) <= limit_km
+        return self._km(c2) <= limit_km

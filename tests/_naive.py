@@ -14,13 +14,21 @@ RADIUS_KM = 6371.0
 
 
 def naive_haversine(a, b):
+    """Great-circle distance by Vincenty's atan2 formula for the sphere.
+
+    It is well conditioned at every separation.  The haversine formula,
+    2R asin(sqrt(h)), is not near antipodal points, where h nears 1: there
+    it errs by about 1e-9 km at 0.1 degree from the antipode.
+    """
     lat1, lon1 = math.radians(a[0]), math.radians(a[1])
     lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    h = (
-        math.sin((lat2 - lat1) / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
+    dlon = lon2 - lon1
+    y = math.hypot(
+        math.cos(lat2) * math.sin(dlon),
+        math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon),
     )
-    return 2.0 * RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    x = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(dlon)
+    return RADIUS_KM * math.atan2(y, x)
 
 
 def naive_planar(a, b):
@@ -258,10 +266,13 @@ def naive_chord_span(points, metric="haversine"):
     """Largest pairwise distance by the chord route, from an all-pairs scan.
 
     Each point becomes a 3-D vector (the unit vector on the sphere,
-    ``(x, y, 0)`` on the plane), every pair's squared chord is formed, and
-    the largest maps to a distance: ``2R asin(chord / 2)`` on the sphere,
-    ``chord`` on the plane.  It rounds as the package's kernel does, so it
-    must agree to the bit, where ``naive_span`` agrees only within rounding.
+    ``(x, y, 0)`` on the plane) and every pair's squared chord c2 is
+    formed.  On the plane the span is the square root of the largest c2.
+    On the sphere, when some pair is past a quarter circle (c2 > 2), the
+    span is ``πR - 2R asin(|a + b| / 2)`` from the smallest squared sum
+    |a + b|² among those pairs; otherwise it is ``2R asin(chord / 2)`` of
+    the largest c2.  It rounds as the package's kernel does, so it must
+    agree to the bit, where ``naive_span`` agrees only within rounding.
     """
     vecs = []
     for lat, lon in points:
@@ -270,11 +281,17 @@ def naive_chord_span(points, metric="haversine"):
         else:
             phi, lam = math.radians(lat), math.radians(lon)
             vecs.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
-    best = 0.0
+    chords = []
+    far_sums = []
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             c2 = sum((a - b) * (a - b) for a, b in zip(vecs[i], vecs[j]))
-            best = max(best, c2)
+            chords.append(c2)
+            if c2 > 2.0:
+                far_sums.append(sum((a + b) * (a + b) for a, b in zip(vecs[i], vecs[j])))
+    best = max(chords, default=0.0)
     if metric == "planar":
         return math.sqrt(best)
+    if far_sums:
+        return math.pi * RADIUS_KM - 2.0 * RADIUS_KM * math.asin(math.sqrt(min(far_sums)) * 0.5)
     return 2.0 * RADIUS_KM * math.asin(min(1.0, math.sqrt(best) * 0.5))

@@ -152,6 +152,26 @@ def test_span_equals_exhaustive_scan(pts, metric):
     assert max_pairwise_span_km(pts, metric) == pytest.approx(naive_span(pts, metric), abs=1e-9)
 
 
+# exact distances from a 60-digit evaluation; the chord route alone errs by
+# 1.5e-9, 8e-10, 1.9e-4 and 1.1e-5 km on these pairs
+NEAR_ANTIPODAL = [
+    ([(0.0, 180.0), (0.0, 0.125)], 20001.18743019000288),
+    ([(0.0, 0.0), (0.03125, 179.9375)], 20007.316814618436191),
+    ([(10.0, 20.0), (-10.0, -160.0)], 20015.086796020572722),
+    ([(45.0, 0.0), (-44.99999, 180.0)], 20015.085684071305924),
+]
+
+
+@pytest.mark.parametrize("pts, exact", NEAR_ANTIPODAL)
+def test_span_is_exact_near_antipodal_pairs(pts, exact):
+    assert max_pairwise_span_km(pts) == pytest.approx(exact, abs=1e-9)
+    assert naive_span(pts) == pytest.approx(exact, abs=1e-9)
+    kernel = GeoKernel(pts)
+    far = kernel.max_span([[0, 1]])
+    assert kernel.within_limit([1], 0, far)
+    assert not kernel.within_limit([1], 0, math.nextafter(far, 0.0))
+
+
 def test_span_vectorized_path_matches_scan():
     rng = random.Random(3)
     pts = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(60)]
@@ -163,8 +183,22 @@ def _antipode(p):
     return GeoPoint(-p.lat, p.lon - 180.0 if p.lon > 0.0 else p.lon + 180.0)
 
 
+def _around_antipode(p, offsets, scale):
+    q = _antipode(p)
+    return [p] + [GeoPoint(max(-90.0, min(90.0, q.lat + scale * a)), q.lon + scale * b) for a, b in offsets]
+
+
+# a point and a few points on a small grid around its antipode
+around_antipode = st.builds(
+    _around_antipode,
+    points, st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=6),
+    st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+
 # sets where the bounded span scan could go wrong: co-located members (no
 # pair beats a zero best), antipodal pairs (the mean vector is near zero),
+# points scattered around an antipode (far pairs whose chords tie or order
+# otherwise than their sums),
 # clusters with far outliers (most pairs are skipped), points on a circle
 # around their mean (none are), small grids (ties in radius and chord) and
 # subnormal offsets (squares underflow)
@@ -172,6 +206,7 @@ span_sets = st.one_of(
     st.lists(points, min_size=2, max_size=12),
     st.builds(lambda p, k: [p] * k, points, st.integers(min_value=2, max_value=6)),
     st.lists(points, min_size=1, max_size=4).map(lambda ps: ps + [_antipode(p) for p in ps]),
+    around_antipode,
     st.builds(
         lambda p, k, far: [GeoPoint(p.lat, p.lon + 1e-9 * j) for j in range(k)] + far,
         points, st.integers(min_value=2, max_value=30), st.lists(points, max_size=3),
@@ -193,12 +228,14 @@ def test_span_equals_the_all_pairs_chord_scan_bit_for_bit(pts, metric):
     assert max_pairwise_span_km(pts, metric) == naive_chord_span(pts, metric)
 
 
-# member sets for the join check: none, co-located, antipodal pairs, signed
-# zeros (equal vectors, different bits) and spread points
+# member sets for the join check: none, co-located, antipodal pairs, points
+# around an antipode, signed zeros (equal vectors, different bits) and
+# spread points
 limit_sets = st.one_of(
     st.just([]),
     st.builds(lambda p, k: [p] * k, points, st.integers(min_value=1, max_value=6)),
     st.lists(points, min_size=1, max_size=4).map(lambda ps: ps + [_antipode(p) for p in ps]),
+    around_antipode,
     st.lists(signed_zero_lon, min_size=1, max_size=4),
     st.lists(points, min_size=1, max_size=12),
 )
@@ -212,11 +249,13 @@ def test_within_limit_equals_the_exhaustive_scan(pts, node, metric, data):
     members = list(range(len(pts)))
     # the node is a member itself or a point of its own
     i = data.draw(st.sampled_from(members + [len(pts)]))
-    far = max((kernel.distance(m, kernel.vecs[i]) for m in members), default=0.0)
+    # a member's distance is the span of its pair with the node, to the bit
+    dists = [kernel.max_span([[m, i]]) for m in members]
+    far = max(dists, default=0.0)
     # the farthest member's distance and one ulp either side; limits are positive
     limits = [d for d in (math.nextafter(far, -math.inf), far, math.nextafter(far, math.inf)) if d > 0.0]
     for limit in limits:
-        want = all(kernel.distance(m, kernel.vecs[i]) <= limit for m in members)
+        want = all(d <= limit for d in dists)
         assert kernel.within_limit(members, i, limit) == want, limit
 
 

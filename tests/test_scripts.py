@@ -98,7 +98,7 @@ def test_partition_digest_smoke(tmp_path):
     groups = [re.fullmatch(group_line, line).groups() for line in lines[1:3]]
     assert groups == [("random-sn", "4"), ("random-snic", "4")]
     # pinned: a change to any partition or trace bit changes it
-    assert lines[-1] == "digest 4277701ad00b4b34e3e7f76b6fdde1444025627564b3b714dd0db6c8c6e1a3bb"
+    assert lines[-1] == "digest c5219b95c0ae8612665d5e03c1fa354d7a53789e3213f5a50e19a5355972145a"
     assert len(lines) == 4
 
 
