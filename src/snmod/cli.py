@@ -21,9 +21,7 @@ from pathlib import Path
 from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph, summed
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, run_louvain
-from .metrics import (
-    Partition, SNParams, check_assignment, community_qualities, ng_modularity, sn_modularity,
-)
+from .metrics import Partition, SNParams, check_assignment, ng_modularity, score_terms, sn_modularity
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
@@ -223,7 +221,9 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
     The plain optimizer ignores sigma, so it runs once per (dataset, seed)
     and its partition is scored at every sigma.  SNIC's first iteration is
     the unconstrained louvain-sn run, so when both are swept the louvain-sn
-    row is read from that iteration, with its optimizer seconds.
+    row is read from that iteration, with its optimizer seconds.  A SNIC
+    trace already holds each iteration's SN-modularity, so those rows take
+    it from there and score only NG-modularity.
     """
     rows = []
     improvements = []
@@ -242,20 +242,29 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
                     )
             for sigma in sigmas:
                 params = SNParams(sigma, agg, metric)
+                # algo -> (partition, seconds, iterations, sn_modularity or None)
                 results = {}
                 if "snic" in algorithms:
-                    results["snic"] = run_algorithm(g, "snic", params, seed, max_iters)
-                    traces[(name, sigma, seed)] = results["snic"][3]
-                    first = results["snic"][3].entries[0]
-                    results["louvain-sn"] = (first.partition, first.seconds, 1, None)
+                    partition, seconds, iterations, trace = run_algorithm(
+                        g, "snic", params, seed, max_iters
+                    )
+                    traces[(name, sigma, seed)] = trace
+                    results["snic"] = (partition, seconds, iterations, trace.best.sn_modularity)
+                    first = trace.entries[0]
+                    results["louvain-sn"] = (first.partition, first.seconds, 1, first.sn_modularity)
                 elif "louvain-sn" in algorithms:
-                    results["louvain-sn"] = run_algorithm(g, "louvain-sn", params, seed, max_iters)
+                    partition, seconds, iterations, _ = run_algorithm(
+                        g, "louvain-sn", params, seed, max_iters
+                    )
+                    results["louvain-sn"] = (partition, seconds, iterations, None)
                 for algo in algorithms:
                     if algo == "louvain":
                         continue
-                    partition, seconds, iterations, _ = results[algo]
-                    sn = sn_modularity(g, partition, params)
-                    ng = ng_modularity(g, partition)
+                    partition, seconds, iterations, sn = results[algo]
+                    if sn is None:
+                        ng, sn = map(summed, score_terms(g, partition, params))
+                    else:
+                        ng = ng_modularity(g, partition)
                     rows.append(
                         f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng:.12g},"
                         f"{seconds:.6f},{iterations}"
@@ -290,8 +299,7 @@ def cmd_detect(args) -> int:
     if args.trace:
         write_trace_csv(args.trace, trace)
     write_partition_csv(args.out, g, partition)
-    ng = ng_modularity(g, partition)
-    sn = sn_modularity(g, partition, params)
+    ng, sn = map(summed, score_terms(g, partition, params))
     print(
         f"{args.algo} n={g.num_nodes} m={g.num_edges} ng_modularity={ng:.6f} "
         f"sn_modularity={sn:.6f} seconds={seconds:.3f}"
@@ -303,8 +311,8 @@ def cmd_score(args) -> int:
     g = _load(args)
     partition = read_partition_csv(args.partition, g)
     params = SNParams(args.sigma, args.agg, args.metric)
-    ng = ng_modularity(g, partition)
-    qualities = community_qualities(g, partition, params)
+    ng_terms, qualities = score_terms(g, partition, params)
+    ng = summed(ng_terms)  # exactly ng_modularity
     sn = summed(qualities)  # exactly sn_modularity
     print("ng_modularity,sn_modularity")
     print(f"{ng:.12g},{sn:.12g}")

@@ -7,6 +7,11 @@ dispersion aggregates each member's squared distance to the community
 center, normalized by the scale sigma.  Internal sums run over ordered
 pairs, so each undirected edge counts twice and a self-loop's stored weight
 counts once; this makes the single-community value exactly zero.
+
+One pass over the nodes (:func:`community_sums`) gives every community's
+internal weight and degree sum, and :func:`score_terms` builds both the NG
+and the SN terms from it, so a partition scored under both objectives is
+walked once.
 """
 
 from dataclasses import dataclass, field
@@ -109,7 +114,11 @@ class CommunityStats:
 
 
 def _community_sums(g: GeoGraph, members: Sequence[int]) -> tuple[float, float]:
-    """Internal ordered-pair weight and degree sum of one community."""
+    """Internal ordered-pair weight and degree sum of one community.
+
+    Serves the single-community calls; a whole labelling is summed by
+    :func:`community_sums`.
+    """
     member_set = set(members)
     sum_in = 0.0
     sum_deg = 0.0
@@ -137,23 +146,68 @@ def check_assignment(g: GeoGraph, labels: Sequence) -> None:
         raise ValueError(f"partition covers {len(labels)} nodes, graph has {g.num_nodes}")
 
 
+def community_sums(g: GeoGraph, p: Partition) -> tuple[list[float], list[float]]:
+    """Every community's internal ordered-pair weight and degree sum, in one pass.
+
+    Returns ``(sum_in, sum_deg)`` in community order.  Nodes are walked in
+    order, so each community's sums make the additions of
+    :func:`_community_sums` over its ascending members, in the same order,
+    and agree with it bit for bit.
+    """
+    check_assignment(g, p.assignment)
+    labels = p.assignment
+    sum_in = [0.0] * p.num_communities
+    sum_deg = [0.0] * p.num_communities
+    degrees = g.degrees
+    for i, row in enumerate(g.adj):
+        c = labels[i]
+        sum_deg[c] += degrees[i]
+        s = sum_in[c]
+        for j, w in row:
+            if labels[j] == c:
+                s += w
+        sum_in[c] = s
+    return sum_in, sum_deg
+
+
+def score_terms(
+    g: GeoGraph, p: Partition, params: SNParams | None
+) -> tuple[list[float], list[float] | None]:
+    """Each community's NG term and SN term, in community order, from one sums pass.
+
+    The SN terms are None when params is None.
+    """
+    check_assignment(g, p.assignment)
+    two_m = g.two_m
+    if two_m == 0:
+        zeros = [0.0] * p.num_communities
+        return zeros, (None if params is None else zeros[:])
+    sums = list(zip(*community_sums(g, p)))
+    ng = [community_term(sum_in, sum_deg, 0.0, two_m) for sum_in, sum_deg in sums]
+    if params is None:
+        return ng, None
+    kernel = g.kernel(params.metric)
+    sn = [
+        community_term(sum_in, sum_deg, kernel.stats(members, params.sigma, params.agg)[1], two_m)
+        for (sum_in, sum_deg), members in zip(sums, p.communities)
+    ]
+    return ng, sn
+
+
 def community_qualities(g: GeoGraph, p: Partition, params: SNParams | None) -> list[float]:
     """Each community's term in community order; NG terms when params is None."""
-    check_assignment(g, p.assignment)
-    if g.two_m == 0:
-        return [0.0] * p.num_communities
-    kernel = None if params is None else g.kernel(params.metric)
-    return [_quality(g, members, params, kernel) for members in p.communities]
+    ng, sn = score_terms(g, p, params)
+    return ng if params is None else sn
 
 
 def ng_modularity(g: GeoGraph, p: Partition) -> float:
     """Newman-Girvan modularity of a partition; in [-1, 1]."""
-    return summed(community_qualities(g, p, None))
+    return summed(score_terms(g, p, None)[0])
 
 
 def sn_modularity(g: GeoGraph, p: Partition, params: SNParams) -> float:
     """Spatially-near modularity: per-community quality summed over communities."""
-    return summed(community_qualities(g, p, params))
+    return summed(score_terms(g, p, params)[1])
 
 
 def _member_list(g: GeoGraph, members: Iterable[int]) -> list[int]:
@@ -171,7 +225,9 @@ def community_quality(g: GeoGraph, members: Iterable[int], params: SNParams) -> 
     members = _member_list(g, members)
     if g.two_m == 0:
         return 0.0
-    return _quality(g, members, params, g.kernel(params.metric))
+    sum_in, sum_deg = _community_sums(g, members)
+    _, dispersion = g.kernel(params.metric).stats(members, params.sigma, params.agg)
+    return community_term(sum_in, sum_deg, dispersion, g.two_m)
 
 
 def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> CommunityStats:
@@ -182,8 +238,3 @@ def community_stats(g: GeoGraph, members: Iterable[int], params: SNParams) -> Co
     _, dispersion = kernel.stats(members, params.sigma, params.agg)
     return CommunityStats(sum_in, sum_deg, kernel.centroid(members), dispersion)
 
-
-def _quality(g, members, params, kernel) -> float:
-    sum_in, sum_deg = _community_sums(g, members)
-    dispersion = 0.0 if params is None else kernel.stats(members, params.sigma, params.agg)[1]
-    return community_term(sum_in, sum_deg, dispersion, g.two_m)

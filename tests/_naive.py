@@ -174,6 +174,37 @@ def naive_induced_subgraph(g, keep):
     return GeoGraph(ext, [g.nodes[i] for i in kept], [sorted(row) for row in rows])
 
 
+def naive_snowball_sample(g, target_size, seed):
+    """Snowball sample that rebuilds its candidate list after every expansion.
+
+    Each expansion draws ``candidates[randrange(len(candidates))]`` from the
+    ascending list of nodes not yet included, then adds that node and its
+    neighbours in ascending internal id until ``target_size`` nodes are in.
+    O(|V|) per expansion; the result is built by ``naive_induced_subgraph``.
+    """
+    import random
+
+    n = g.num_nodes
+    if target_size >= n:
+        return naive_induced_subgraph(g, range(n))
+    rng = random.Random(seed)
+    included = [False] * n
+    count = 0
+    candidates = list(range(n))
+    while count < target_size:
+        seed_node = candidates[rng.randrange(len(candidates))]
+        batch = [seed_node]
+        batch.extend(sorted(j for j, _ in g.adj[seed_node] if j != seed_node))
+        for v in batch:
+            if not included[v]:
+                included[v] = True
+                count += 1
+                if count == target_size:
+                    break
+        candidates = [v for v in candidates if not included[v]]
+    return naive_induced_subgraph(g, (i for i in range(n) if included[i]))
+
+
 def naive_aggregate(g, p, metric="haversine"):
     """The coarsened graph built through a dict of community-label pairs.
 

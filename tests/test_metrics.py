@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snmod.geograph import GeoGraph
@@ -10,14 +10,18 @@ from snmod.metrics import (
     CommunityStats,
     Partition,
     SNParams,
+    _community_sums,
     community_qualities,
     community_quality,
     community_stats,
+    community_sums,
     community_term,
     ng_modularity,
+    score_terms,
     sn_modularity,
 )
 from snmod.geometry import spherical_centroid
+from snmod.louvain import aggregate_graph
 
 from conftest import bridged_triangles, colocated_clusters, random_geo_graph, random_partition, triangle_graph
 from _naive import naive_ng, naive_sn
@@ -180,6 +184,49 @@ def test_one_term_serves_both_objectives(seed):
     )
     assert community_qualities(g, p, None) == community_qualities(colocated, p, params)
     assert ng_modularity(g, p) == sn_modularity(colocated, p, params)
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@given(seed=seeds, kind=st.sampled_from(["weighted", "coarse", "isolated", "no-edges"]))
+@settings(max_examples=120, deadline=None)
+def test_one_pass_sums_equal_the_per_community_sums(seed, kind):
+    rng = random.Random(seed)
+    n = rng.randint(1, 16)
+    if kind == "weighted":
+        g = random_geo_graph(rng, n, edge_p=rng.uniform(0.2, 0.8))
+    elif kind == "coarse":
+        # meta-nodes carry self-loops holding their communities' internal weight
+        fine = random_geo_graph(rng, rng.randint(n, 3 * n), edge_p=rng.uniform(0.2, 0.6))
+        g = aggregate_graph(fine, random_partition(rng, fine.num_nodes, max_groups=n))
+    elif kind == "isolated":
+        g = random_geo_graph(rng, n, edge_p=0.1)
+    else:
+        g = random_geo_graph(rng, n, edge_p=0.0)
+    if kind == "coarse":
+        assume(any(j == i for i, row in enumerate(g.adj) for j, _ in row))
+    if kind == "no-edges":
+        assert g.two_m == 0
+    p = random_partition(rng, g.num_nodes)
+    sum_in, sum_deg = community_sums(g, p)
+    per_community = [_community_sums(g, members) for members in p.communities]
+    assert _hex(sum_in) == _hex(s for s, _ in per_community)
+    assert _hex(sum_deg) == _hex(d for _, d in per_community)
+
+    params = SNParams(10 ** rng.uniform(0, 4), agg=rng.choice(("max", "sum")),
+                      metric=rng.choice(("haversine", "planar")))
+    ng, sn = score_terms(g, p, params)
+    assert _hex(ng) == _hex(community_qualities(g, p, None))
+    assert _hex(sn) == _hex(community_qualities(g, p, params))
+    assert score_terms(g, p, None) == (ng, None)
+    # the single-community path sums each member list on its own
+    assert _hex(sn) == _hex(community_quality(g, members, params) for members in p.communities)
+    if g.two_m:
+        assert _hex(ng) == _hex(community_term(s, d, 0.0, g.two_m) for s, d in per_community)
+    else:
+        assert ng == sn == [0.0] * p.num_communities
 
 
 @given(seed=seeds)

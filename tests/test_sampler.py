@@ -8,6 +8,7 @@ from snmod.geograph import GeoGraph
 from snmod.sampler import SampleSpec, snowball_sample
 
 from conftest import random_geo_graph
+from _naive import naive_snowball_sample
 
 
 def star(n_leaves=5):
@@ -80,3 +81,15 @@ def test_sample_is_exact_node_induced_subgraph(seed):
         orig = g.internal_id(sample.external_ids[i])
         assert sample.nodes[i].lat == g.nodes[orig].lat
         assert sample.nodes[i].lon == g.nodes[orig].lon
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_sample_equals_the_candidate_list_rebuild(seed):
+    # sparse graphs take many expansions, so the k-th remaining node is
+    # drawn from many different sets of remaining nodes
+    rng = random.Random(seed)
+    n = rng.randint(1, 120)
+    g = random_geo_graph(rng, n, edge_p=rng.choice((0.0, 0.01, 0.05, 0.3)))
+    target = rng.randint(1, n)
+    assert snowball_sample(g, SampleSpec(target, seed=seed)) == naive_snowball_sample(g, target, seed)
