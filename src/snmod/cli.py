@@ -221,9 +221,7 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
     The plain optimizer ignores sigma, so it runs once per (dataset, seed)
     and its partition is scored at every sigma.  SNIC's first iteration is
     the unconstrained louvain-sn run, so when both are swept the louvain-sn
-    row is read from that iteration, with its optimizer seconds.  A SNIC
-    trace already holds each iteration's SN-modularity, so those rows take
-    it from there and score only NG-modularity.
+    row is read from that iteration, with its optimizer seconds.
     """
     rows = []
     improvements = []
@@ -242,29 +240,19 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
                     )
             for sigma in sigmas:
                 params = SNParams(sigma, agg, metric)
-                # algo -> (partition, seconds, iterations, sn_modularity or None)
                 results = {}
                 if "snic" in algorithms:
-                    partition, seconds, iterations, trace = run_algorithm(
-                        g, "snic", params, seed, max_iters
-                    )
-                    traces[(name, sigma, seed)] = trace
-                    results["snic"] = (partition, seconds, iterations, trace.best.sn_modularity)
-                    first = trace.entries[0]
-                    results["louvain-sn"] = (first.partition, first.seconds, 1, first.sn_modularity)
+                    results["snic"] = run_algorithm(g, "snic", params, seed, max_iters)
+                    traces[(name, sigma, seed)] = results["snic"][3]
+                    first = results["snic"][3].entries[0]
+                    results["louvain-sn"] = (first.partition, first.seconds, 1, None)
                 elif "louvain-sn" in algorithms:
-                    partition, seconds, iterations, _ = run_algorithm(
-                        g, "louvain-sn", params, seed, max_iters
-                    )
-                    results["louvain-sn"] = (partition, seconds, iterations, None)
+                    results["louvain-sn"] = run_algorithm(g, "louvain-sn", params, seed, max_iters)
                 for algo in algorithms:
                     if algo == "louvain":
                         continue
-                    partition, seconds, iterations, sn = results[algo]
-                    if sn is None:
-                        ng, sn = map(summed, score_terms(g, partition, params))
-                    else:
-                        ng = ng_modularity(g, partition)
+                    partition, seconds, iterations, _ = results[algo]
+                    ng, sn = map(summed, score_terms(g, partition, params))
                     rows.append(
                         f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng:.12g},"
                         f"{seconds:.6f},{iterations}"

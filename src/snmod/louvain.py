@@ -101,18 +101,16 @@ class LevelState:
         self.graph = graph
         self.params = params
         n = graph.num_nodes
-        self.two_m = two_m = graph.two_m
-        self.self_w = self_w = [0.0] * n
-        # each node's loop weights added from 0.0: its sum_in as a singleton
-        loops = [0.0] * n
-        for i, row in enumerate(graph.adj):
-            for j, w in row:
+        self.two_m = graph.two_m
+        self.self_w = [0.0] * n
+        for i in range(n):
+            for j, w in graph.adj[i]:
                 if j == i:
-                    self_w[i] = w
-                    loops[i] += w
+                    self.self_w[i] = w
         # each node's quality as a singleton, read by every SN gain
+        two_m = self.two_m
         self.q_single = None if params is None else [
-            community_term(self_w[i], k, 0.0, two_m) if two_m else 0.0
+            community_term(self.self_w[i], k, 0.0, two_m) if two_m else 0.0
             for i, k in enumerate(graph.degrees)
         ]
         self.kernel = graph.kernel("haversine" if params is None else params.metric)
@@ -120,9 +118,6 @@ class LevelState:
         check_assignment(graph, self.comm)
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
         self.communities: dict[int, _Community] = {}
-        if assignment is None:
-            self._singleton_start(loops)
-            return
         p = Partition.from_assignment(self.comm)
         for members, sum_in, sum_deg in zip(p.communities, *community_sums(graph, p)):
             c = self.communities[self.comm[members[0]]] = _Community()
@@ -131,33 +126,6 @@ class LevelState:
             c.sum_deg = sum_deg
             self._refresh_geo(c)
         self.next_label = max(self.communities, default=-1) + 1
-
-    def _singleton_start(self, loops: list[float]) -> None:
-        """One community per node, with the caches :meth:`_refresh_geo` would set, in O(1) each.
-
-        A singleton's sums are its loop weights and its degree, each added
-        to 0.0, and its vector sums are its vector's components added to
-        0.0; its centre is its own vector and its dispersion 0.0.
-        """
-        params = self.params
-        geo = params is not None and self.two_m != 0
-        if geo:
-            radius = params.sigma * 0.0  # sigma * sqrt(0.0)
-            vecs = self.kernel.vecs
-        communities = self.communities
-        for i, k in enumerate(self.graph.degrees):
-            c = communities[i] = _Community()
-            c.members.append(i)
-            c.sum_in = loops[i]
-            c.sum_deg = 0.0 + k
-            if geo:
-                v = vecs[i]
-                x, y, z = v
-                c.sums = (0.0 + x, 0.0 + y, 0.0 + z, 1, True)
-                c.centroid = v
-                c.radius = radius
-                c.quality = community_term(c.sum_in, c.sum_deg, 0.0, self.two_m)
-        self.next_label = len(communities)
 
     def extract_partition(self) -> Partition:
         return Partition.from_assignment(self.comm)

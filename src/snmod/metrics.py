@@ -177,12 +177,11 @@ def score_terms(
 
     The SN terms are None when params is None.
     """
-    check_assignment(g, p.assignment)
+    sums = list(zip(*community_sums(g, p)))
     two_m = g.two_m
     if two_m == 0:
         zeros = [0.0] * p.num_communities
         return zeros, (None if params is None else zeros[:])
-    sums = list(zip(*community_sums(g, p)))
     ng = [community_term(sum_in, sum_deg, 0.0, two_m) for sum_in, sum_deg in sums]
     if params is None:
         return ng, None
@@ -192,12 +191,6 @@ def score_terms(
         for (sum_in, sum_deg), members in zip(sums, p.communities)
     ]
     return ng, sn
-
-
-def community_qualities(g: GeoGraph, p: Partition, params: SNParams | None) -> list[float]:
-    """Each community's term in community order; NG terms when params is None."""
-    ng, sn = score_terms(g, p, params)
-    return ng if params is None else sn
 
 
 def ng_modularity(g: GeoGraph, p: Partition) -> float:

@@ -7,8 +7,8 @@ Feasible up to n = 12 (4,213,597 partitions).
 
 from typing import Iterator
 
-from .geograph import GeoGraph, summed
-from .metrics import Partition, SNParams, community_qualities
+from .geograph import GeoGraph
+from .metrics import Partition, SNParams, ng_modularity, sn_modularity
 
 # Bell numbers B(0)..B(12)
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
@@ -52,7 +52,7 @@ def oracle_best(g: GeoGraph, params: SNParams | None = None) -> tuple[Partition,
     best_partition = None
     best_value = -float("inf")
     for p in enumerate_partitions(g.num_nodes):
-        value = summed(community_qualities(g, p, params))
+        value = ng_modularity(g, p) if params is None else sn_modularity(g, p, params)
         if value > best_value:
             best_value = value
             best_partition = p

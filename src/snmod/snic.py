@@ -51,11 +51,6 @@ class SnicIteration:
 class SnicTrace:
     entries: tuple[SnicIteration, ...]
 
-    @property
-    def best(self) -> SnicIteration:
-        """The first entry with the highest score."""
-        return max(self.entries, key=lambda e: e.sn_modularity)  # max keeps the first of equals
-
     def csv_rows(self):
         yield "iteration,constraint_km,sn_modularity,span_km,seconds"
         for e in self.entries:
@@ -94,5 +89,5 @@ def run_snic(g: GeoGraph, cfg: SnicConfig) -> SnicRun:
         if span == 0.0 or span >= constraint:
             break
         constraint = span
-    trace = SnicTrace(tuple(entries))
-    return SnicRun(trace.best.partition, trace)
+    best = max(entries, key=lambda e: e.sn_modularity)  # max keeps the first of equals
+    return SnicRun(best.partition, SnicTrace(tuple(entries)))

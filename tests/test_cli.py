@@ -15,7 +15,7 @@ from snmod.cli import (
 )
 from snmod.geograph import load_graph
 from snmod.louvain import EngineConfig, LevelState, aggregate_graph, run_louvain
-from snmod.metrics import Partition, SNParams, community_qualities, ng_modularity, sn_modularity
+from snmod.metrics import Partition, SNParams, ng_modularity, score_terms, sn_modularity
 from snmod.snic import SnicConfig, partition_max_span, run_snic
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.synth import SyntheticSpec, planted_geo_clusters
@@ -559,7 +559,7 @@ def test_partition_length_is_checked_before_any_file_is_written(tmp_path, labels
     g = triangle_graph()
     p = Partition(labels)
     calls = {
-        "community_qualities": lambda: community_qualities(g, p, None),
+        "score_terms": lambda: score_terms(g, p, None),
         "aggregate_graph": lambda: aggregate_graph(g, p),
         "partition_max_span": lambda: partition_max_span(g, p),
         "LevelState": lambda: LevelState(g, None, assignment=labels),

@@ -11,7 +11,6 @@ from snmod.metrics import (
     Partition,
     SNParams,
     _community_sums,
-    community_qualities,
     community_quality,
     community_stats,
     community_sums,
@@ -172,7 +171,7 @@ def test_one_term_serves_both_objectives(seed):
     g = random_geo_graph(rng, rng.randint(2, 12))
     p = random_partition(rng, g.num_nodes)
     params = SNParams(10 ** rng.uniform(0, 4), agg=rng.choice(("max", "sum")))
-    terms = community_qualities(g, p, params)
+    terms = score_terms(g, p, params)[1]
     assert terms == [community_quality(g, c, params) for c in p.communities]
     total = 0.0
     for q in terms:
@@ -182,7 +181,7 @@ def test_one_term_serves_both_objectives(seed):
         [(u, v, w) for u, v, w in g.undirected_edges()], {i: (0.0, 0.0) for i in range(g.num_nodes)},
         extra_nodes=range(g.num_nodes),
     )
-    assert community_qualities(g, p, None) == community_qualities(colocated, p, params)
+    assert score_terms(g, p, None)[0] == score_terms(colocated, p, params)[1]
     assert ng_modularity(g, p) == sn_modularity(colocated, p, params)
 
 
@@ -218,8 +217,6 @@ def test_one_pass_sums_equal_the_per_community_sums(seed, kind):
     params = SNParams(10 ** rng.uniform(0, 4), agg=rng.choice(("max", "sum")),
                       metric=rng.choice(("haversine", "planar")))
     ng, sn = score_terms(g, p, params)
-    assert _hex(ng) == _hex(community_qualities(g, p, None))
-    assert _hex(sn) == _hex(community_qualities(g, p, params))
     assert score_terms(g, p, None) == (ng, None)
     # the single-community path sums each member list on its own
     assert _hex(sn) == _hex(community_quality(g, members, params) for members in p.communities)
