@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .geograph import GeoGraph
 from .geometry import EARTH_RADIUS_KM, _arc_km
-from .metrics import Partition, SNParams, check_assignment, community_sums, community_term
+from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
 # Relative slack on each distance that the O(1) bounds of local_move_pass
 # read.  Every distance is mapped from a squared chord between stored vectors
@@ -118,14 +118,14 @@ class LevelState:
         check_assignment(graph, self.comm)
         self.visit_order = list(range(n)) if visit_order is None else list(visit_order)
         self.communities: dict[int, _Community] = {}
-        p = Partition.from_assignment(self.comm)
-        for members, sum_in, sum_deg in zip(p.communities, *community_sums(graph, p)):
-            c = self.communities[self.comm[members[0]]] = _Community()
-            c.members = list(members)
-            c.sum_in = sum_in
-            c.sum_deg = sum_deg
-            self._refresh_geo(c)
+        for i, c in enumerate(self.comm):
+            entry = self.communities.setdefault(c, _Community())
+            entry.members.append(i)
         self.next_label = max(self.communities, default=-1) + 1
+        for c in self.communities.values():
+            c.members.sort()
+            c.sum_in, c.sum_deg = _community_sums(graph, c.members)
+            self._refresh_geo(c)
 
     def extract_partition(self) -> Partition:
         return Partition.from_assignment(self.comm)

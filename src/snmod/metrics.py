@@ -114,11 +114,7 @@ class CommunityStats:
 
 
 def _community_sums(g: GeoGraph, members: Sequence[int]) -> tuple[float, float]:
-    """Internal ordered-pair weight and degree sum of one community.
-
-    Serves the single-community calls; a whole labelling is summed by
-    :func:`community_sums`.
-    """
+    """Internal ordered-pair weight and degree sum of one community."""
     member_set = set(members)
     sum_in = 0.0
     sum_deg = 0.0

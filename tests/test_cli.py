@@ -3,7 +3,6 @@ import math
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -454,47 +453,6 @@ class TestSweep:
         assert len(list(traces.glob("trace_*.csv"))) == 4  # one per snic run
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"synthetic-s0", "synthetic-s1"}
-
-    @pytest.mark.parametrize(
-        "algorithms", [("louvain", "louvain-sn", "snic"), ("louvain-sn",), ("snic", "louvain")]
-    )
-    def test_rows_equal_rows_from_explicit_scores(self, algorithms):
-        spec = SyntheticSpec(n_nodes=60, n_clusters=3, p_intra=0.3, p_inter=0.02,
-                             spacing_km=800.0, spread_km=5.0)
-        datasets = [(f"g{s}", planted_geo_clusters(replace(spec, seed=s))[0]) for s in (0, 1)]
-        rows, improvements, _ = run_sweep(datasets, SWEEP_SIGMAS, algorithms, [0, 3], "max", "haversine", 4)
-        want_rows, want_improvements = [], []
-        seconds = iter(row.split(",")[6] for row in rows)
-        for name, g in datasets:
-            for seed in (0, 3):
-                engine = EngineConfig(seed=seed)
-                base = run_louvain(g, None, engine)
-                base_sn = {}
-                for sigma in SWEEP_SIGMAS:
-                    base_sn[sigma] = sn_modularity(g, base, SNParams(sigma))
-                    if "louvain" in algorithms:
-                        want_rows.append(f"{name},{sigma:.12g},louvain,{seed},{base_sn[sigma]:.12g},"
-                                         f"{ng_modularity(g, base):.12g},{next(seconds)},1")
-                for sigma in SWEEP_SIGMAS:
-                    params = SNParams(sigma)
-                    run = run_snic(g, SnicConfig(params, max_iters=4, seed=seed))
-                    found = {
-                        "louvain-sn": (run_louvain(g, params, engine), 1),
-                        "snic": (run.partition, len(run.trace.entries)),
-                    }
-                    for algo in algorithms:
-                        if algo == "louvain":
-                            continue
-                        partition, iterations = found[algo]
-                        sn = sn_modularity(g, partition, params)
-                        ng = ng_modularity(g, partition)
-                        want_rows.append(f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng:.12g},"
-                                         f"{next(seconds)},{iterations}")
-                        gain = sn - base_sn[sigma]
-                        pct = f"{100.0 * gain / abs(base_sn[sigma]):.12g}"
-                        want_improvements.append(f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{pct},{gain:.12g}")
-        assert rows == want_rows
-        assert improvements == want_improvements
 
     def test_trace_dir_that_is_a_file_touches_neither_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
