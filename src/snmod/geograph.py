@@ -126,6 +126,8 @@ class GeoGraph:
             u = int(u)
             v = int(v)
             w = float(w)
+            if u == v:
+                raise GraphDataError(f"self-loop edge on node {u}")
             if not math.isfinite(w) or w <= 0:
                 raise GraphDataError(f"non-positive weight {w} on edge ({u}, {v})")
             _merge_edge(pair_weights, u, v, w)
@@ -198,14 +200,20 @@ def _build_graph(
 ) -> GeoGraph:
     """The graph over the edge endpoints plus ``extra_nodes``, by ascending id.
 
-    ``pair_weights`` maps external (u, v), u <= v, to merged positive
-    weights; a self-loop raises.  Nodes without coordinates raise under
-    ``missing_policy='error'`` or are removed together with their incident
-    edges under ``'drop'``.
+    ``pair_weights`` maps external (u, v), u < v, to merged positive
+    weights; the loaders refuse self-loops before they get here.  Nodes
+    without coordinates raise under ``missing_policy='error'`` or are
+    removed together with their incident edges under ``'drop'``.
+
+    ``pair_weights`` is consumed: each pair is popped as its two row entries
+    are made, and the map is left empty, so the merged pairs and the rows
+    are never all held at once.  Each row is sorted and stored as a tuple,
+    which the graph keeps without copying.
     """
     node_set = {e for pair in pair_weights for e in pair}
     node_set.update(extra_nodes)
     ext = sorted(node_set)
+    del node_set
     if missing_policy == "drop":
         ext = [e for e in ext if e in coords]
     try:
@@ -216,17 +224,19 @@ def _build_graph(
             f"{len(missing)} node(s) lack coordinates (e.g. {', '.join(missing[:5])})"
         ) from None
     index = {e: i for i, e in enumerate(ext)}
-    rows: list[list[tuple[int, float]]] = [[] for _ in ext]
-    for (u, v), w in pair_weights.items():
-        if u == v:
-            raise GraphDataError(f"self-loop edge on node {u}")
+    rows: list = [[] for _ in ext]
+    pop = pair_weights.popitem
+    for _ in range(len(pair_weights)):
+        (u, v), w = pop()
         iu = index.get(u)
         iv = index.get(v)
         if iu is not None and iv is not None:  # else an endpoint was dropped
             rows[iu].append((iv, w))
             rows[iv].append((iu, w))
-    for row in rows:
+    pair_weights.clear()  # popping leaves the table allocated; this frees it
+    for i, row in enumerate(rows):
         row.sort()
+        rows[i] = tuple(row)
     return GeoGraph(ext, points, rows)
 
 

@@ -477,12 +477,14 @@ def run_louvain(
             # one deterministic order per (seed, level)
             random.Random(cfg.seed * 1_000_003 + level).shuffle(order)
         state = LevelState(level_graph, params, visit_order=order)
-        moved, _ = local_move_pass(state, cfg)
+        moved = local_move_pass(state, cfg)[0]
         if moved == 0:
             break
         p_level = state.extract_partition()
+        metric = state.kernel.metric
+        del state  # free the finished level before the next one is built
         node_to_meta = [p_level.assignment[c] for c in node_to_meta]
         if p_level.num_communities == level_graph.num_nodes:
             break
-        level_graph = aggregate_graph(level_graph, p_level, metric=state.kernel.metric)
+        level_graph = aggregate_graph(level_graph, p_level, metric=metric)
     return Partition.from_assignment(node_to_meta)

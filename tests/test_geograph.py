@@ -194,6 +194,15 @@ def test_a_self_loop_is_refused_by_both_loaders():
         load("0\t1\n1\t1\n", "0,0,0\n1,0,1\n")
 
 
+def test_from_edges_names_the_first_self_loop():
+    coords = {u: (0, u) for u in range(4)}
+    with pytest.raises(GraphDataError, match="self-loop edge on node 3"):
+        GeoGraph.from_edges([(0, 1), (3, 3), (2, 2)], coords)
+    # a loop is refused where it arrives, before a later edge's bad weight
+    with pytest.raises(GraphDataError, match="self-loop edge on node 2"):
+        GeoGraph.from_edges([(2, 2), (0, 1, -1.0)], coords)
+
+
 def test_an_overflowing_total_weight_is_refused():
     coords = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
     # each weight is finite; node 0's degree and two_m are not
@@ -439,6 +448,27 @@ def test_load_memory_is_set_by_users_not_rows(tmp_path):
             tracemalloc.stop()
         assert g.num_nodes == users
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_load_peak_stays_near_the_graph_it_returns(tmp_path):
+    # a ring plus random chords over 5,000 nodes, one CSV point per node
+    rng = random.Random(5)
+    n = 5000
+    pairs = [(u, (u + 1) % n) for u in range(n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"{u}\t{v}\t{rng.uniform(0.5, 2.0)!r}\n" for u, v in pairs if u != v))
+    coords = tmp_path / "coords.csv"
+    coords.write_text("".join(f"{u},{rng.uniform(-60, 60)!r},{rng.uniform(-170, 170)!r}\n" for u in range(n)))
+    tracemalloc.start()
+    try:
+        g = load_graph(edges, coords)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == n
+    # the edge map and the rows are never all held at once
+    assert peak <= 1.75 * retained, (peak, retained)
 
 
 LINE_ENDING_EDGES = "# friends\n0\t1\n\n1\t2\t2.5\n"

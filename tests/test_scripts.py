@@ -169,6 +169,24 @@ def test_load_digest_smoke(tmp_path):
     assert digest(checkins) == digest(checkins, "--policy", "mean") != last
 
 
+def test_load_peak_smoke(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"{u}\t{(u + 1) % 500}\n" for u in range(500)))
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text("".join(f"{u}\t2010-01-0{k + 1}T00:00:00Z\t{u % 80}.5\t{k}.25\n"
+                                for u in range(500) for k in range(3)))
+    for policy in ("mean", "last"):
+        lines = _run_script("load_peak.py", str(edges), str(checkins), "--policy", policy, cwd=tmp_path)
+        assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
+        assert lines[1] == "nodes 500 edges 500"
+        assert re.fullmatch(r"load_cpu_s \d+\.\d{3}", lines[2])
+        peak, retained, ratio = map(float, re.fullmatch(
+            r"traced_peak_mb (\S+) retained_mb (\S+) ratio (\S+)", lines[3]).groups())
+        assert 0 < retained <= peak and ratio >= 1.0
+        assert float(re.fullmatch(r"ru_maxrss_mb (\d+\.\d)", lines[4])[1]) > 0
+        assert len(lines) == 5
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)
