@@ -73,14 +73,16 @@ def main():
     ap.add_argument("dir", nargs="?", default=Path(__file__).resolve().parents[1] / "src" / "snmod")
     args = ap.parse_args()
 
+    paths = sorted(Path(args.dir).glob("*.py"))
+    width = max([len("module") + 2] + [len(path.name) + 2 for path in paths])
     total = dict.fromkeys(COLUMNS, 0)
-    print(f"{'module':<16}" + "".join(f"{c:>10}" for c in COLUMNS))
-    for path in sorted(Path(args.dir).glob("*.py")):
+    print(f"{'module':<{width}}" + "".join(f"{c:>10}" for c in COLUMNS))
+    for path in paths:
         counts = count_lines(path.read_text(encoding="utf-8"))
         for c in COLUMNS:
             total[c] += counts[c]
-        print(f"{path.name:<16}" + "".join(f"{counts[c]:>10}" for c in COLUMNS))
-    print(f"{'total':<16}" + "".join(f"{total[c]:>10}" for c in COLUMNS))
+        print(f"{path.name:<{width}}" + "".join(f"{counts[c]:>10}" for c in COLUMNS))
+    print(f"{'total':<{width}}" + "".join(f"{total[c]:>10}" for c in COLUMNS))
 
 
 if __name__ == "__main__":

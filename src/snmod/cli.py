@@ -21,7 +21,7 @@ from pathlib import Path
 from .geograph import GeoGraph, GraphDataError, GraphFormatError, load_graph, summed
 from .geometry import AGG_NAMES, METRIC_NAMES
 from .louvain import EngineConfig, run_louvain
-from .metrics import Partition, SNParams, check_assignment, ng_modularity, score_terms, sn_modularity
+from .metrics import Partition, SNParams, check_assignment, score_terms
 from .sampler import SampleSpec, snowball_sample
 from .snic import SnicConfig, SnicTrace, run_snic
 from .synth import SyntheticSpec, planted_geo_clusters
@@ -124,14 +124,6 @@ def write_trace_csv(path, trace: SnicTrace) -> None:
             fh.write(row + "\n")
 
 
-def write_sweep_traces(trace_dir, traces) -> None:
-    """Write each ``run_sweep`` trace as ``trace_{name}_sigma{sigma:g}_seed{seed}.csv``
-    into the existing directory ``trace_dir``."""
-    trace_dir = Path(trace_dir)
-    for (name, sigma, seed), trace in traces.items():
-        write_trace_csv(trace_dir / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
-
-
 def export_geojson(g: GeoGraph, p: Partition, path) -> None:
     """One Point feature per node, one LineString per edge (lon,lat order)."""
     check_assignment(g, p.assignment)
@@ -219,27 +211,28 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
     """Full sweep grid; returns (rows, improvement_rows, traces).
 
     The plain optimizer ignores sigma, so it runs once per (dataset, seed)
-    and its partition is scored at every sigma.  SNIC's first iteration is
-    the unconstrained louvain-sn run, so when both are swept the louvain-sn
-    row is read from that iteration, with its optimizer seconds.
+    and its partition is summed once and scored at every sigma from those
+    sums.  SNIC's first iteration is the unconstrained louvain-sn run, so
+    when both are swept the louvain-sn row is read from that iteration,
+    with its optimizer seconds.
     """
     rows = []
     improvements = []
     traces = {}
+    grid = [SNParams(sigma, agg, metric) for sigma in sigmas]
     for name, g in datasets:
         for seed in seeds:
             base_partition, base_seconds, _, _ = run_algorithm(g, "louvain", None, seed, max_iters)
-            base_ng = ng_modularity(g, base_partition)
-            base_sn = {}
-            for sigma in sigmas:
-                base_sn[sigma] = sn_modularity(g, base_partition, SNParams(sigma, agg, metric))
-                if "louvain" in algorithms:
+            ng_terms, sn_terms = score_terms(g, base_partition, grid)
+            base_ng = summed(ng_terms)
+            base_sn = [summed(terms) for terms in sn_terms]
+            if "louvain" in algorithms:
+                for sigma, base in zip(sigmas, base_sn):
                     rows.append(
-                        f"{name},{sigma:.12g},louvain,{seed},{base_sn[sigma]:.12g},"
+                        f"{name},{sigma:.12g},louvain,{seed},{base:.12g},"
                         f"{base_ng:.12g},{base_seconds:.6f},1"
                     )
-            for sigma in sigmas:
-                params = SNParams(sigma, agg, metric)
+            for sigma, params, base in zip(sigmas, grid, base_sn):
                 results = {}
                 if "snic" in algorithms:
                     results["snic"] = run_algorithm(g, "snic", params, seed, max_iters)
@@ -248,16 +241,13 @@ def run_sweep(datasets, sigmas, algorithms, seeds, agg, metric, max_iters):
                     results["louvain-sn"] = (first.partition, first.seconds, 1, None)
                 elif "louvain-sn" in algorithms:
                     results["louvain-sn"] = run_algorithm(g, "louvain-sn", params, seed, max_iters)
-                for algo in algorithms:
-                    if algo == "louvain":
-                        continue
+                for algo in [a for a in algorithms if a != "louvain"]:
                     partition, seconds, iterations, _ = results[algo]
                     ng, sn = map(summed, score_terms(g, partition, params))
                     rows.append(
                         f"{name},{sigma:.12g},{algo},{seed},{sn:.12g},{ng:.12g},"
                         f"{seconds:.6f},{iterations}"
                     )
-                    base = base_sn[sigma]
                     abs_gain = sn - base
                     pct = f"{100.0 * abs_gain / abs(base):.12g}" if abs(base) > 1e-12 else ""
                     improvements.append(
@@ -336,35 +326,43 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
     return SyntheticSpec(**kwargs)
 
 
+def _sweep_values(text: str, cast, flag: str) -> list:
+    """The comma-separated values of a sweep flag; refuses none and repeats."""
+    values = [cast(s) for s in text.split(",") if s]
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{flag} must list one or more distinct values, not {text!r}")
+    return values
+
+
 def cmd_sweep(args) -> int:
-    sigmas = [float(s) for s in args.sigmas.split(",") if s]
-    algorithms = [a for a in args.algos.split(",") if a]
+    sigmas = _sweep_values(args.sigmas, float, "--sigmas")
+    algorithms = _sweep_values(args.algos, str, "--algos")
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not sigmas or not algorithms or not seeds:
-        raise ValueError("sigmas, algos and seeds must be non-empty")
+    seeds = _sweep_values(args.seeds, int, "--seeds")
+    graph_seeds = _sweep_values(args.graph_seeds, int, "--graph-seeds")
 
     improvements_path = args.improvements or str(
         Path(args.out).with_name(Path(args.out).stem + "_improvements.csv")
     )
+    if Path(improvements_path).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--improvements names the --out file {args.out}")
     _check_csv_header(args.out, SWEEP_HEADER)
     _check_csv_header(improvements_path, IMPROVEMENT_HEADER)
     if args.trace_dir:
         # before any run or append: a path that cannot be a directory fails here
         Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
 
-    datasets = []
     if args.synthetic and (args.edges or args.coords):
         raise ValueError("provide either --edges/--coords or --synthetic, not both")
     if args.synthetic:
         spec = _parse_synthetic(args.synthetic)
-        for gs in (int(s) for s in args.graph_seeds.split(",") if s):
-            graph, _ = planted_geo_clusters(replace(spec, seed=gs))
-            datasets.append((f"synthetic-s{gs}", graph))
+        datasets = [
+            (f"synthetic-s{gs}", planted_geo_clusters(replace(spec, seed=gs))[0]) for gs in graph_seeds
+        ]
     elif args.edges and args.coords:
-        datasets.append((args.dataset_name, _load(args)))
+        datasets = [(args.dataset_name, _load(args))]
     else:
         raise ValueError("provide either --edges/--coords or --synthetic")
 
@@ -374,7 +372,8 @@ def cmd_sweep(args) -> int:
     _append_csv(args.out, SWEEP_HEADER, rows)
     _append_csv(improvements_path, IMPROVEMENT_HEADER, improvements)
     if args.trace_dir:
-        write_sweep_traces(args.trace_dir, traces)
+        for (name, sigma, seed), trace in traces.items():
+            write_trace_csv(Path(args.trace_dir) / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -10,8 +10,8 @@ counts once; this makes the single-community value exactly zero.
 
 One pass over the nodes (:func:`community_sums`) gives every community's
 internal weight and degree sum, and :func:`score_terms` builds both the NG
-and the SN terms from it, so a partition scored under both objectives is
-walked once.
+and the SN terms from it, so a partition scored under both objectives, or
+under several SN settings, is walked once.
 """
 
 from dataclasses import dataclass, field
@@ -167,26 +167,28 @@ def community_sums(g: GeoGraph, p: Partition) -> tuple[list[float], list[float]]
 
 
 def score_terms(
-    g: GeoGraph, p: Partition, params: SNParams | None
-) -> tuple[list[float], list[float] | None]:
+    g: GeoGraph, p: Partition, params: SNParams | Sequence[SNParams] | None
+) -> tuple[list[float], list[float] | list[list[float]] | None]:
     """Each community's NG term and SN term, in community order, from one sums pass.
 
-    The SN terms are None when params is None.
+    The SN terms are None when params is None.  Given a sequence of SNParams,
+    the SN terms are one list per entry, in order, all read from the same pass.
     """
+    several = not (params is None or isinstance(params, SNParams))
+    settings = params if several else () if params is None else (params,)
     sums = list(zip(*community_sums(g, p)))
     two_m = g.two_m
     if two_m == 0:
-        zeros = [0.0] * p.num_communities
-        return zeros, (None if params is None else zeros[:])
-    ng = [community_term(sum_in, sum_deg, 0.0, two_m) for sum_in, sum_deg in sums]
-    if params is None:
-        return ng, None
-    kernel = g.kernel(params.metric)
-    sn = [
-        community_term(sum_in, sum_deg, kernel.stats(members, params.sigma, params.agg)[1], two_m)
-        for (sum_in, sum_deg), members in zip(sums, p.communities)
-    ]
-    return ng, sn
+        ng = [0.0] * p.num_communities
+        sn = [ng[:] for _ in settings]
+    else:
+        ng = [community_term(sum_in, sum_deg, 0.0, two_m) for sum_in, sum_deg in sums]
+        sn = []
+        for s in settings:
+            stats = g.kernel(s.metric).stats
+            sn.append([community_term(sum_in, sum_deg, stats(members, s.sigma, s.agg)[1], two_m)
+                       for (sum_in, sum_deg), members in zip(sums, p.communities)])
+    return ng, (sn if several else sn[0] if sn else None)
 
 
 def ng_modularity(g: GeoGraph, p: Partition) -> float:

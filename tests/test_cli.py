@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from snmod import cli, geometry, louvain, snic
+from snmod import cli, geometry, louvain, metrics, snic
 from snmod.cli import (
     main, export_geojson, read_partition_csv, run_sweep, write_partition_csv,
-    SWEEP_HEADER, IMPROVEMENT_HEADER,
+    DEFAULT_SIGMAS, SWEEP_HEADER, IMPROVEMENT_HEADER,
 )
 from snmod.geograph import load_graph
 from snmod.louvain import EngineConfig, LevelState, aggregate_graph, run_louvain
@@ -292,6 +292,10 @@ def _sweep_datasets():
     return [(f"s{k}", planted_geo_clusters(spec)[0]) for k, spec in enumerate(specs)]
 
 
+def _no_build(spec):
+    raise AssertionError("a dataset was built")
+
+
 def _separate_run_rows(datasets, algorithms, seeds, max_iters):
     """Sweep rows, without ``seconds``, from one library call per result."""
     rows = []
@@ -440,6 +444,27 @@ class TestSweep:
         assert set(unconstrained) == grid
         assert set(unconstrained.values()) == {1}
 
+    def test_the_plain_partition_is_summed_once_per_dataset_and_seed(self, monkeypatch):
+        real = metrics.community_sums
+        passes = Counter()
+
+        def counting(g, p):
+            passes[id(g)] += 1
+            return real(g, p)
+
+        monkeypatch.setattr(metrics, "community_sums", counting)
+        datasets = _sweep_datasets()
+        run_sweep(datasets, DEFAULT_SIGMAS, ("louvain",), (0, 1), "max", "haversine", 4)
+        assert passes == {id(g): 2 for _, g in datasets}  # one per engine seed
+        passes.clear()
+        _, _, traces = run_sweep(datasets, DEFAULT_SIGMAS, ("louvain", "louvain-sn", "snic"), (0, 1),
+                                 "max", "haversine", 4)
+        # per (dataset, seed): the plain partition once, the louvain-sn and
+        # snic rows once per sigma, and SNIC's own score once per iteration
+        for name, g in datasets:
+            iterations = sum(len(t.entries) for (n, _, _), t in traces.items() if n == name)
+            assert passes[id(g)] == 2 * (1 + 2 * len(DEFAULT_SIGMAS)) + iterations
+
     def test_synthetic_sweep_with_traces(self, tmp_path):
         out = tmp_path / "sweep.csv"
         traces = tmp_path / "traces"
@@ -449,10 +474,31 @@ class TestSweep:
                    "--max-iters", "4", "--out", str(out), "--trace-dir", str(traces)])
         assert rc == 0
         lines = out.read_text().splitlines()
+        assert lines[0] == SWEEP_HEADER
         assert len(lines) == 1 + 2 * 2 * 3
         assert len(list(traces.glob("trace_*.csv"))) == 4  # one per snic run
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"synthetic-s0", "synthetic-s1"}
+        improvements = (tmp_path / "sweep_improvements.csv").read_text().splitlines()
+        assert improvements[0] == IMPROVEMENT_HEADER
+        assert len(improvements) == 1 + 2 * 2 * 2  # graphs x sigmas x (louvain-sn, snic)
+        assert sorted(p.name for p in traces.iterdir()) == sorted(
+            f"trace_synthetic-s{gs}_sigma{sigma:g}_seed0.csv" for gs in (0, 1) for sigma in SWEEP_SIGMAS
+        )
+        for path in traces.iterdir():
+            rows = path.read_text().splitlines()
+            assert rows[0] == "iteration,constraint_km,sn_modularity,span_km,seconds"
+            assert 2 <= len(rows) <= 1 + 4  # one to --max-iters iterations
+        # each louvain-sn row is SNIC's iteration 1 at the same sigma and seed
+        checked = 0
+        for row in lines[1:]:
+            dataset, sigma, algo, seed, sn = row.split(",")[:5]
+            if algo == "louvain-sn":
+                trace = traces / f"trace_{dataset}_sigma{float(sigma):g}_seed{seed}.csv"
+                first = trace.read_text().splitlines()[1].split(",")
+                assert first[0] == "1" and first[2] == sn
+                checked += 1
+        assert checked == 4
 
     def test_trace_dir_that_is_a_file_touches_neither_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -471,6 +517,37 @@ class TestSweep:
         assert out.read_text() == SWEEP_HEADER + "\n"
         assert improvements.read_text() == IMPROVEMENT_HEADER + "\n"
         assert notadir.read_text() == "x\n"
+
+    @pytest.mark.parametrize("out, improvements, link", [
+        ("s.csv", "s.csv", None), ("./s.csv", "s.csv", None), ("s.csv", "link.csv", "link.csv"),
+    ], ids=["same", "dot-slash", "symlink"])
+    def test_improvements_naming_the_out_file_is_refused(
+        self, tmp_path, monkeypatch, capsys, out, improvements, link
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "planted_geo_clusters", _no_build)
+        if link:
+            Path(link).symlink_to("s.csv")
+        argv = ["sweep", "--synthetic", "nodes=60,clusters=3", "--sigmas", "300",
+                "--out", out, "--improvements", improvements]
+        assert main(argv) == 2
+        assert "--improvements names the --out file" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--graph-seeds", ""], ["--graph-seeds", ","], ["--graph-seeds", "1,2,1"],
+        ["--sigmas", "300,300"], ["--sigmas", "300,300.0"], ["--seeds", "0,0"],
+        ["--algos", "snic,louvain,snic"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_empty_or_repeated_lists_are_refused(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.setattr(cli, "planted_geo_clusters", _no_build)
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--synthetic", "nodes=60,clusters=3", "--sigmas", "300", *flags,
+                "--out", str(out), "--trace-dir", str(tmp_path / "traces")]
+        assert main(argv) == 2
+        assert f"{flags[0]} must list one or more distinct values" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "s_improvements.csv").exists()
+        assert not (tmp_path / "traces").exists()
 
     def test_sweep_requires_some_input(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "s.csv")])

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from snmod.cli import DEFAULT_SIGMAS, IMPROVEMENT_HEADER, SWEEP_HEADER
 from snmod.geograph import load_graph
 from snmod.sampler import SampleSpec, snowball_sample
 from snmod.synth import SyntheticSpec, planted_geo_clusters
@@ -102,36 +101,6 @@ def test_partition_digest_smoke(tmp_path):
     assert len(lines) == 4
 
 
-def test_sigma_sweep_smoke(tmp_path):
-    out = tmp_path / "out"
-    lines = _run_script(
-        "sigma_sweep.py", "--graphs", "1", "--nodes", "100", "--clusters", "4", "--max-iters", "2",
-        "--out-dir", str(out), cwd=tmp_path,
-    )
-    sweep = (out / "sweep.csv").read_text().splitlines()
-    assert sweep[0] == SWEEP_HEADER
-    assert len(sweep) == 1 + 3 * len(DEFAULT_SIGMAS)
-    improvements = (out / "sweep_improvements.csv").read_text().splitlines()
-    assert improvements[0] == IMPROVEMENT_HEADER
-    assert len(improvements) == 1 + 2 * len(DEFAULT_SIGMAS)
-    traces = sorted(p.name for p in (out / "traces").iterdir())
-    assert traces == sorted(f"trace_synthetic-s0_sigma{s:g}_seed0.csv" for s in DEFAULT_SIGMAS)
-    for name in traces:
-        rows = (out / "traces" / name).read_text().splitlines()
-        assert rows[0] == "iteration,constraint_km,sn_modularity,span_km,seconds"
-        assert 2 <= len(rows) <= 3
-    # each louvain-sn row is SNIC's iteration 1 at the same sigma and seed
-    for row in sweep[1:]:
-        dataset, sigma, algo, seed, sn = row.split(",")[:5]
-        if algo == "louvain-sn":
-            trace = out / "traces" / f"trace_{dataset}_sigma{float(sigma):g}_seed{seed}.csv"
-            first = trace.read_text().splitlines()[1].split(",")
-            assert first[0] == "1" and first[2] == sn
-    assert lines[0].split() == ["sigma_km", "median_snic/louvain", "median_louvain-sn/louvain"]
-    assert [float(line.split()[0]) for line in lines[1:-1]] == list(DEFAULT_SIGMAS)
-    assert lines[-1] == f"wrote {out}/sweep.csv ({3 * len(DEFAULT_SIGMAS)} rows)"
-
-
 def test_runtime_scaling_smoke(tmp_path):
     out = tmp_path / "times.csv"
     lines = _run_script(
@@ -147,6 +116,17 @@ def test_runtime_scaling_smoke(tmp_path):
 
 
 def test_load_digest_smoke(tmp_path):
+    def run(edges, coords, *policy):
+        """The script's lines after the package line; checks their format."""
+        lines = _run_script("load_digest.py", str(edges), str(coords), *policy, cwd=tmp_path)
+        assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
+        assert re.fullmatch(r"digest [0-9a-f]{64}", lines[2])
+        assert re.fullmatch(r"load_cpu_s \d+\.\d{3}", lines[3])
+        assert re.fullmatch(r"traced_peak_mb \S+ retained_mb \S+ ratio \S+", lines[4])
+        assert float(re.fullmatch(r"ru_maxrss_mb (\d+\.\d)", lines[5])[1]) > 0
+        assert len(lines) == 6
+        return lines[1:]
+
     edges = tmp_path / "edges.tsv"
     edges.write_text("0\t1\n1\t2\t2.5\n")
     checkins = tmp_path / "checkins.tsv"
@@ -159,32 +139,25 @@ def test_load_digest_smoke(tmp_path):
     csv.write_text("node,lat,lon\n0,1.5,2.5\n1,3.5,4.5\n2,5.5,6.5\n")
 
     def digest(coords, *policy):
-        lines = _run_script("load_digest.py", str(edges), str(coords), *policy, cwd=tmp_path)
-        assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
-        assert lines[1] == "nodes 3 edges 2"
-        return re.fullmatch(r"digest ([0-9a-f]{64})", lines[2])[1]
+        lines = run(edges, coords, *policy)
+        assert lines[0] == "nodes 3 edges 2"
+        return lines[1]
 
     last = digest(checkins, "--policy", "last")
     assert digest(csv) == last
     assert digest(checkins) == digest(checkins, "--policy", "mean") != last
 
-
-def test_load_peak_smoke(tmp_path):
-    edges = tmp_path / "edges.tsv"
-    edges.write_text("".join(f"{u}\t{(u + 1) % 500}\n" for u in range(500)))
-    checkins = tmp_path / "checkins.tsv"
-    checkins.write_text("".join(f"{u}\t2010-01-0{k + 1}T00:00:00Z\t{u % 80}.5\t{k}.25\n"
-                                for u in range(500) for k in range(3)))
+    ring = tmp_path / "ring.tsv"
+    ring.write_text("".join(f"{u}\t{(u + 1) % 500}\n" for u in range(500)))
+    ring_checkins = tmp_path / "ring_checkins.tsv"
+    ring_checkins.write_text("".join(f"{u}\t2010-01-0{k + 1}T00:00:00Z\t{u % 80}.5\t{k}.25\n"
+                                     for u in range(500) for k in range(3)))
     for policy in ("mean", "last"):
-        lines = _run_script("load_peak.py", str(edges), str(checkins), "--policy", policy, cwd=tmp_path)
-        assert lines[0] == f"snmod {ROOT / 'src' / 'snmod'}"
-        assert lines[1] == "nodes 500 edges 500"
-        assert re.fullmatch(r"load_cpu_s \d+\.\d{3}", lines[2])
+        lines = run(ring, ring_checkins, "--policy", policy)
+        assert lines[0] == "nodes 500 edges 500"
         peak, retained, ratio = map(float, re.fullmatch(
             r"traced_peak_mb (\S+) retained_mb (\S+) ratio (\S+)", lines[3]).groups())
         assert 0 < retained <= peak and ratio >= 1.0
-        assert float(re.fullmatch(r"ru_maxrss_mb (\d+\.\d)", lines[4])[1]) > 0
-        assert len(lines) == 5
 
 
 def _load_script(name):
@@ -239,10 +212,16 @@ def test_code_lines_columns_add_up(tmp_path):
         '"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
         'def f():\n    """One line."""\n    return [\n        # inside a list\n        x,\n    ]\n'
     )
+    (tmp_path / "a_module_name_over_16_chars.py").write_text("y = 2\n")
     lines = _run_script("code_lines.py", str(tmp_path), cwd=tmp_path)
     assert lines[0].split() == ["module", "lines", "code", "docstring", "comment", "blank"]
     assert lines[1].split() == ["a.py", "13", "5", "3", "2", "3"]
-    assert lines[2].split() == ["total", "13", "5", "3", "2", "3"]
+    assert lines[2].split() == ["a_module_name_over_16_chars.py", "1", "1", "0", "0", "0"]
+    assert lines[3].split() == ["total", "14", "6", "3", "2", "3"]
+    # every count ends where its header ends, whatever the names' lengths
+    ends = [m.end() for m in re.finditer(r"\S+", lines[0])][1:]
+    for line in lines[1:]:
+        assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends
     # the package itself: one row per module, then their sums
     rows = [row.split() for row in _run_script("code_lines.py", cwd=tmp_path)[1:]]
     assert "louvain.py" in [row[0] for row in rows] and rows[-1][0] == "total"
