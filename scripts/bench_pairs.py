@@ -12,7 +12,9 @@ directory, and every ``perfbench/run.py`` call runs with
 ``PYTHONDONTWRITEBYTECODE=1``, so neither side ever has bytecode caches.
 Pair k runs with seed ``seeds[k % len(seeds)]``; even pairs run the base
 first and odd pairs the change first.  The pairs make one block: every
-run's result line plus a summary (see :func:`summarise`).  ``--out`` holds
+run's result line plus a summary (see :func:`summarise`), which gives each
+end-to-end metric of ``BENCHMARK.json`` the benchmark's no-regression
+verdict (see :func:`verdict`).  ``--out`` holds
 a list of blocks, and each call appends its own, so every block run stays
 on record.  Runs are sequential: each run's own worker is the only process
 this script keeps busy.
@@ -26,6 +28,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# name -> {"better": "lower" | "higher", "bound": relative bound, ...}
+END_TO_END = {
+    m["name"]: m
+    for m in json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def export(rev: str, dest: Path) -> str:
@@ -80,17 +88,39 @@ def compare(base: list[float], change: list[float]) -> dict:
     }
 
 
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The benchmark's no-regression verdict on one end-to-end metric.
+
+    The change regresses when its median is worse than the base's, in the
+    ``better`` direction, by more than ``bound`` times the base's median.
+    ``worse_by`` is that difference relative to the base's median (negative
+    when the change is better; None for a zero base median).
+    """
+    b, c = statistics.median(base), statistics.median(change)
+    worse = c - b if better == "lower" else b - c
+    return {
+        "better": better,
+        "bound": bound,
+        "worse_by": worse / abs(b) if b else None,
+        "regressed": worse > bound * abs(b),
+    }
+
+
 def summarise(runs: list[dict]) -> dict:
     """Summary of a block of pairs, each ``{"base": result, "change": result}``.
 
-    Every metric but ``modularity`` is compared as lower-is-better;
-    ``modularity`` counts the pairs in which both sides read the same value.
-    ``correct`` and ``failed`` are per side: runs reporting ``correct`` and
-    failed operations summed over the runs.
+    ``verdict`` judges every end-to-end metric by its ``BENCHMARK.json``
+    direction and bound; ``metrics`` compares the lower-is-better ones pair
+    by pair (see :func:`compare`), and ``modularity_equal`` counts the pairs
+    in which both sides read the same modularity.  ``correct`` and
+    ``failed`` are per side: runs reporting ``correct`` and failed
+    operations summed over the runs.
     """
     sides = ("base", "change")
-    names = sorted({name for pair in runs for side in sides for name in pair[side]["metrics"]})
+    measured = {name for pair in runs for side in sides for name in pair[side]["metrics"]}
+    names = sorted(measured & END_TO_END.keys())
     value = lambda pair, side, name: pair[side]["metrics"][name]["value"]
+    values = lambda name: ([value(pair, side, name) for pair in runs] for side in sides)
     return {
         "pairs": len(runs),
         "correct": {side: sum(bool(pair[side]["correct"]) for pair in runs) for side in sides},
@@ -98,11 +128,11 @@ def summarise(runs: list[dict]) -> dict:
         "modularity_equal": sum(
             value(pair, "base", "modularity") == value(pair, "change", "modularity") for pair in runs
         ),
-        "metrics": {
-            name: compare(*([value(pair, side, name) for pair in runs] for side in sides))
+        "verdict": {
+            name: verdict(*values(name), END_TO_END[name]["better"], END_TO_END[name]["bound"])
             for name in names
-            if name != "modularity"
         },
+        "metrics": {name: compare(*values(name)) for name in names if END_TO_END[name]["better"] == "lower"},
     }
 
 
@@ -158,6 +188,10 @@ def main() -> int:
         print(f"{name}: base median {m['base']['median']:.4g} (iqr {m['base']['iqr']:.3g}), "
               f"change median {m['change']['median']:.4g}; "
               f"change lower in {m['wins']} of {summary['pairs']} pairs")
+    for name, v in summary["verdict"].items():
+        worse = "n/a" if v["worse_by"] is None else f"{v['worse_by']:+.2%}"
+        print(f"{name}: change median worse by {worse} ({v['better']} is better, bound "
+              f"{v['bound']:.0%}): {'REGRESSED' if v['regressed'] else 'within bound'}")
     return 0
 
 

@@ -2,11 +2,14 @@
 """Measure how the iterated-constraint detector's wall time scales with n.
 
 Generates fixed-density planted-cluster graphs at several sizes, times a
-10-iteration snic run on each (best of --reps), fits a line, and reports
-the slope and R^2.
+10-iteration snic run on each, fits a line, and reports the slope and R^2.
+Each of --reps rounds times every size once, and each size keeps its
+fastest run, as acceptance criterion 6 does: a burst of load from other
+processes then slows one round, not one size.
 """
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -27,20 +30,21 @@ def main():
     ap.add_argument("--sizes", default=",".join(map(str, SCALING_SIZES)))
     ap.add_argument("--sigma", type=float, default=1000.0)
     ap.add_argument("--max-iters", type=int, default=10)
-    ap.add_argument("--reps", type=int, default=2)
+    ap.add_argument("--reps", type=int, default=2, help="timing rounds over all sizes")
     ap.add_argument("--out", help="optional CSV of (n, seconds)")
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SnicConfig(params=SNParams(args.sigma), max_iters=args.max_iters)
-    times = []
-    for n in sizes:
-        graph, _ = planted_geo_clusters(scaling_spec(n))
-        best = min(
-            _timed(run_snic, graph, cfg) for _ in range(max(1, args.reps))
-        )
-        times.append(best)
-        print(f"n={n:6d}  seconds={best:.3f}")
+    graphs = [planted_geo_clusters(scaling_spec(n))[0] for n in sizes]
+    times = [math.inf] * len(sizes)
+    for _ in range(max(1, args.reps)):
+        for k, graph in enumerate(graphs):
+            t0 = time.perf_counter()
+            run_snic(graph, cfg)
+            times[k] = min(times[k], time.perf_counter() - t0)
+    for n, t in zip(sizes, times):
+        print(f"n={n:6d}  seconds={t:.3f}")
 
     mean_x = statistics.fmean(sizes)
     mean_y = statistics.fmean(times)
@@ -55,12 +59,6 @@ def main():
         Path(args.out).write_text(
             "n,seconds\n" + "".join(f"{n},{t:.6f}\n" for n, t in zip(sizes, times))
         )
-
-
-def _timed(fn, *fn_args):
-    t0 = time.perf_counter()
-    fn(*fn_args)
-    return time.perf_counter() - t0
 
 
 if __name__ == "__main__":

@@ -327,9 +327,13 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
 
 
 def _sweep_values(text: str, cast, flag: str) -> list:
-    """The comma-separated values of a sweep flag; refuses none and repeats."""
+    """The comma-separated values of a sweep flag; refuses none and repeats.
+
+    Values repeat when they print alike in the sweep's rows and trace file
+    names, floats as ``:.12g``.
+    """
     values = [cast(s) for s in text.split(",") if s]
-    if not values or len(set(values)) != len(values):
+    if not values or len({f"{v:.12g}" if cast is float else v for v in values}) != len(values):
         raise ValueError(f"{flag} must list one or more distinct values, not {text!r}")
     return values
 
@@ -373,7 +377,7 @@ def cmd_sweep(args) -> int:
     _append_csv(improvements_path, IMPROVEMENT_HEADER, improvements)
     if args.trace_dir:
         for (name, sigma, seed), trace in traces.items():
-            write_trace_csv(Path(args.trace_dir) / f"trace_{name}_sigma{sigma:g}_seed{seed}.csv", trace)
+            write_trace_csv(Path(args.trace_dir) / f"trace_{name}_sigma{sigma:.12g}_seed{seed}.csv", trace)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -227,22 +227,15 @@ class GeoKernel:
     # -- statistics ----------------------------------------------------------
 
     def stats(
-        self,
-        members: Sequence[int],
-        sigma: float,
-        agg: str,
-        plus: int | None = None,
-        sums: tuple[float, float, float, int, bool] | None = None,
+        self, members: Sequence[int], sigma: float, agg: str, plus: int | None = None
     ) -> tuple[tuple[float, float, float], float]:
         """Centre vector and aggregated squared normalized distance for one member set.
 
         ``members`` must be sorted ascending; ``plus`` optionally adds one
         more node (candidate insertions are evaluated without mutating any
-        state).  The centre sums the vectors left to right, ``plus`` last;
-        ``agg='sum'`` adds each ``(distance / sigma)²`` in the same order.
-        ``sums``, when given, must be ``_sums(members)``: the centre then
-        takes O(1), adding ``plus``'s vector to those sums last, which are
-        the same additions in the same order as summing ``[*members, plus]``.
+        state).  The centre sums the vectors of ``[*members, plus]`` left to
+        right (:meth:`_sums`); ``agg='sum'`` adds each ``(distance / sigma)²``
+        in the same order.
         """
         if agg not in AGG_NAMES:
             raise ValueError(f"unknown aggregation {agg!r}")
@@ -250,18 +243,7 @@ class GeoKernel:
         if not ids:
             raise ValueError("empty community")
         vecs = self.vecs
-        if sums is None:
-            sx, sy, sz, n, same = self._sums(ids)
-        else:
-            sx, sy, sz, n, same = sums
-            if plus is not None:
-                v = vecs[plus]
-                x, y, z = v
-                sx += x
-                sy += y
-                sz += z
-                same = same and (n == 0 or v == vecs[members[0]])
-                n += 1
+        sx, sy, sz, n, same = self._sums(ids)
         centre = None if same else _mean_vector(sx, sy, sz, n, self.metric)
         if centre is None:
             # the lowest id's vector: exact co-location keeps zero dispersion
@@ -351,14 +333,18 @@ class GeoKernel:
     def within_limit(self, members: Sequence[int], i: int, limit_km: float) -> bool:
         """True when every member lies within ``limit_km`` of node ``i``.
 
-        Each member's distance is the one :meth:`max_span` gives the pair,
-        so a join at exactly a span that SNIC passes on as its constraint
-        is allowed, and :meth:`_farthest_pair` explains the ranking.
+        Each member's distance is the one :meth:`max_span` gives the pair
+        (:meth:`_farthest_pair` explains it), so a join at exactly a span
+        that SNIC passes on as its constraint is allowed.  The scan stops at
+        the first member beyond the limit.
         """
-        v = self.vecs[i]
-        c2 = self._max_chord2(v, members)
-        if c2 > 2.0 and self.metric == "haversine":
-            vecs = self.vecs
-            s2 = min(_sq_sum(v, vecs[m]) for m in members if _sq_chord(v, vecs[m]) > 2.0)
-            return _sum_to_km(s2) <= limit_km
-        return self._km(c2) <= limit_km
+        vecs = self.vecs
+        v = vecs[i]
+        km = self._km
+        sphere = self.metric == "haversine"
+        for m in members:
+            c2 = _sq_chord(v, vecs[m])
+            d = _sum_to_km(_sq_sum(v, vecs[m])) if c2 > 2.0 and sphere else km(c2)
+            if d > limit_km:
+                return False
+        return True

@@ -6,8 +6,9 @@ phase collapses communities into meta-nodes, carrying accumulated edge
 weights as self-loops and placing each meta-node at its community's center.
 The phases alternate until a level moves nothing.
 
-Internal-weight and degree sums are cached incrementally; cached qualities
-and exact spatially-near gains are built from
+Internal-weight and degree sums are cached incrementally; a community's
+centre, dispersion and quality are recomputed from its members after each
+move.  Cached qualities and exact spatially-near gains are built from
 :func:`snmod.metrics.community_term`, the term the scores sum.  The move
 phase prunes candidates by O(1) bounds, which never changes a decision (see
 :func:`local_move_pass`).  The optional join constraint of
@@ -22,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .geograph import GeoGraph
-from .geometry import EARTH_RADIUS_KM, _arc_km
+from .geometry import EARTH_RADIUS_KM
 from .metrics import Partition, SNParams, _community_sums, check_assignment, community_term
 
 # Relative slack on each distance that the O(1) bounds of local_move_pass
@@ -72,14 +73,12 @@ class EngineConfig:
 
 
 class _Community:
-    __slots__ = ("members", "sum_deg", "sum_in", "sums", "centroid", "dispersion", "radius", "quality")
+    __slots__ = ("members", "sum_deg", "sum_in", "centroid", "dispersion", "radius", "quality")
 
     def __init__(self):
         self.members: list[int] = []
         self.sum_deg = 0.0
         self.sum_in = 0.0
-        # the members' in-order vector sums, as GeoKernel._sums returns them
-        self.sums = None
         # centre vector, as GeoKernel.stats returns it
         self.centroid = None
         self.dispersion = 0.0
@@ -136,10 +135,7 @@ class LevelState:
         params = self.params
         if params is None or self.two_m == 0:
             return
-        c.sums = self.kernel._sums(c.members)
-        c.centroid, c.dispersion = self.kernel.stats(
-            c.members, params.sigma, params.agg, sums=c.sums
-        )
+        c.centroid, c.dispersion = self.kernel.stats(c.members, params.sigma, params.agg)
         c.radius = params.sigma * math.sqrt(c.dispersion)
         c.quality = community_term(c.sum_in, c.sum_deg, c.dispersion, self.two_m)
 
@@ -156,7 +152,7 @@ class LevelState:
             and self.kernel.vecs[i] == c.centroid
         ):
             return (2.0 * kiin - 2.0 * k * c.sum_deg / two_m) / two_m
-        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i, sums=c.sums)
+        _, disp = self.kernel.stats(c.members, params.sigma, params.agg, plus=i)
         q_union = community_term(
             c.sum_in + 2.0 * kiin + self.self_w[i], c.sum_deg + k, disp, two_m
         )
@@ -285,26 +281,22 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
     monotone, so the exact gain never exceeds it (``_BOUND_SLACK`` covers
     the distances' own rounding).  The bounds share the union's modularity
     numerator, computed once per candidate, and a smaller d only loosens
-    them, so they come in three tiers:
+    them, so they come in two tiers:
 
     1. dispersion 0, reading no geometry; a non-positive numerator ends
        here, since no dispersion raises it above 0;
     2. the dispersion implied by the chord from the node to the
-       candidate's centroid, ``R * sqrt(c2)`` on the sphere; on the plane
-       the chord is the distance, so this tier is the last;
-    3. on the sphere, the dispersion implied by the arc.
+       candidate's centroid: ``R * sqrt(c2)`` on the sphere, never longer
+       than the arc, and the distance itself on the plane.
 
     A candidate whose bound cannot beat the best gain so far is skipped at
     the first tier that shows it, without its join check or its O(|c|)
-    dispersion scan.  The tiers run in that order because each is at least
-    as tight as the one before and dearer to compute.  A candidate co-located
-    with a community of zero dispersion is never bounded, as its exact gain
-    is O(1).  The join constraint of the rest is mostly decided in O(1)
-    (:func:`_join_verdict`), reusing the last tier's distance.  Exact
-    insertion scans take the union's center from the community's cached
-    vector sums (see :meth:`snmod.geometry.GeoKernel.stats`).  Candidates
-    are still visited in label order, so a skipped one could never have
-    been chosen and the moves are exactly those of a full scan.
+    dispersion scan.  A candidate co-located with a community of zero
+    dispersion is never bounded, as its exact gain is O(1).  The join
+    constraint of the rest is mostly decided in O(1) from the node's
+    distance to the centroid (:func:`_join_verdict`).  Candidates are still
+    visited in label order, so a skipped one could never have been chosen
+    and the moves are exactly those of a full scan.
     """
     limit = cfg.join_constraint_km
     constrained = math.isfinite(limit)
@@ -324,9 +316,8 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
         self_w = state.self_w
         q_single = state.q_single
         sigma = state.params.sigma
-        sphere = kernel.metric == "haversine"
         # tier 2's distance per unit of chord: R on the sphere, 1 on the plane
-        chord_scale = EARTH_RADIUS_KM if sphere else 1.0
+        chord_scale = EARTH_RADIUS_KM if kernel.metric == "haversine" else 1.0
         keep = 1.0 - _BOUND_SLACK
     queue = deque(state.visit_order)
     queued = [False] * state.graph.num_nodes
@@ -367,7 +358,6 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
             if not sn:
                 gain = (2.0 * kiin[label] - k2 * cand.sum_deg / two_m) / two_m - back
             else:
-                d = None  # distance from i to cand's centre, once a tier takes it
                 # the co-located shortcut is exact in O(1) already
                 if prune and not (cand.dispersion == 0.0 and vec == cand.centroid):
                     sum_deg = cand.sum_deg + k
@@ -391,19 +381,8 @@ def local_move_pass(state: LevelState, cfg: EngineConfig = EngineConfig()):
                             q = num / (1.0 + scaled * scaled * keep) / two_m
                             if q - base - qs - back <= best_gain:
                                 continue
-                        if sphere:
-                            # tier 3
-                            d = _arc_km(c2)
-                            reach = 0.5 * (d - radius) - _BOUND_SLACK * (d + radius)
-                            if reach > 0.0:
-                                scaled = reach / sigma
-                                q = num / (1.0 + scaled * scaled * keep) / two_m
-                                if q - base - qs - back <= best_gain:
-                                    continue
                 if constrained:
-                    if d is None:
-                        d = kernel.distance(i, cand.centroid)
-                    ok = _join_verdict(d, cand.radius, limit)
+                    ok = _join_verdict(kernel.distance(i, cand.centroid), cand.radius, limit)
                     if ok is None:
                         ok = kernel.within_limit(cand.members, i, limit)
                     if not ok:

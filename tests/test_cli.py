@@ -500,6 +500,20 @@ class TestSweep:
                 checked += 1
         assert checked == 4
 
+    def test_trace_files_are_named_as_the_rows_print_sigma(self, tmp_path):
+        # 1000000 and 1000001 both read 1e+06 under :g, where the second
+        # run's trace would overwrite the first's
+        out = tmp_path / "s.csv"
+        traces = tmp_path / "traces"
+        assert main(["sweep", "--synthetic", "nodes=60,clusters=3,p_intra=0.3,p_inter=0.02",
+                     "--sigmas", "1000000,1000001", "--algos", "snic", "--max-iters", "2",
+                     "--out", str(out), "--trace-dir", str(traces)]) == 0
+        printed = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
+        assert printed == ["1000000", "1000001"]
+        assert sorted(p.name for p in traces.iterdir()) == [
+            f"trace_synthetic-s0_sigma{sigma}_seed0.csv" for sigma in printed
+        ]
+
     def test_trace_dir_that_is_a_file_touches_neither_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         improvements = tmp_path / "s_improvements.csv"
@@ -537,6 +551,7 @@ class TestSweep:
     @pytest.mark.parametrize("flags", [
         ["--graph-seeds", ""], ["--graph-seeds", ","], ["--graph-seeds", "1,2,1"],
         ["--sigmas", "300,300"], ["--sigmas", "300,300.0"], ["--seeds", "0,0"],
+        ["--sigmas", "300,300.0000000000001"], ["--sigmas", "1000000,1000000.0000001"],
         ["--algos", "snic,louvain,snic"],
     ], ids=lambda flags: "=".join(flags))
     def test_empty_or_repeated_lists_are_refused(self, tmp_path, monkeypatch, capsys, flags):

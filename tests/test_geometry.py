@@ -333,26 +333,6 @@ class TestGeoKernel:
                 centre, _ = kernel.stats(members, 700.0, "max", plus)
                 assert centre == want_centre
 
-    def test_cached_sums_give_the_same_stats(self):
-        """Passing a member list's ``_sums`` changes no bit of the result,
-        with or without ``plus``: co-located, antipodal and spread sets."""
-        rng = random.Random(43)
-        pts = self._random_points(rng, 60)
-        pts += [GeoPoint(10.0, 20.0)] * 4 + [GeoPoint(-10.0, -160.0)]
-        pts += [GeoPoint(0.0, -0.0), GeoPoint(0.0, 0.0)]  # equal vectors, different bits
-        sets = [[], [0], [60, 61, 62], [60, 61, 62, 63], [60, 64], [61, 64], [65], [66]]
-        sets += [sorted(rng.sample(range(67), rng.randint(1, 40))) for _ in range(30)]
-        for metric, agg in itertools.product(METRIC_NAMES, AGG_NAMES):
-            kernel = GeoKernel(pts, metric)
-            for members in sets:
-                sums = kernel._sums(members)
-                for plus in (None, 0, 60, 63, 64, 65, 66, rng.randrange(67)):
-                    if plus in members or not members and plus is None:
-                        continue
-                    want = kernel.stats(members, 900.0, agg, plus=plus)
-                    got = kernel.stats(members, 900.0, agg, plus=plus, sums=sums)
-                    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
-
     def test_colocated_members_have_exactly_zero_dispersion(self):
         cases = [
             ("haversine", GeoPoint(10.0, 20.0), spherical_centroid),
@@ -383,10 +363,9 @@ class TestGeoKernel:
         # an antipodal pair has no mean direction
         kernel = GeoKernel([GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)])
         for members, plus in (([0, 1], None), ([1], 0), ([0], 1)):
-            for sums in (None, kernel._sums(members)):
-                centre, disp = kernel.stats(members, 1.0, "max", plus, sums=sums)
-                assert centre is kernel.vecs[0]
-                assert disp == pytest.approx((math.pi * EARTH_RADIUS_KM) ** 2)
+            centre, disp = kernel.stats(members, 1.0, "max", plus)
+            assert centre is kernel.vecs[0]
+            assert disp == pytest.approx((math.pi * EARTH_RADIUS_KM) ** 2)
 
     def test_empty_raises(self):
         kernel = GeoKernel([GeoPoint(0, 0)])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -205,6 +206,24 @@ def test_bench_pairs_summary_on_fixed_lists():
     assert s["metrics"]["solve_s"] == bench.compare(base, change)
     assert s["metrics"]["peak_rss_mb"]["wins"] == 0
     assert s["metrics"]["peak_rss_mb"]["median_gap"] == -1.0
+    # the benchmark's verdict: every end-to-end metric, by its own direction
+    # and bound; 1 MB over a 22 MB median is within peak_rss_mb's 5%
+    end_to_end = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(s["verdict"]) == {"solve_s", "peak_rss_mb", "modularity"}
+    for name, v in s["verdict"].items():
+        assert (v["better"], v["bound"]) == (end_to_end[name]["better"], end_to_end[name]["bound"])
+        assert v["regressed"] is False
+    assert s["verdict"]["solve_s"]["worse_by"] == -0.5 / 3.0
+    assert s["verdict"]["peak_rss_mb"]["worse_by"] == 1.0 / 22.0
+    assert s["verdict"]["modularity"]["worse_by"] == 0.0
+    # past the bound either way: slower, or less modular
+    assert bench.verdict([1.0, 1.0, 1.0], [1.5, 1.0, 1.5], "lower", 0.25)["regressed"] is True
+    assert bench.verdict([1.0, 1.0, 1.0], [1.2, 1.0, 1.2], "lower", 0.25)["regressed"] is False
+    assert bench.verdict([0.25, 0.25], [0.2, 0.2], "higher", 0.10)["regressed"] is True
+    assert bench.verdict([0.25, 0.25], [0.3, 0.3], "higher", 0.10)["worse_by"] < 0.0
+    assert bench.verdict([0.0, 0.0], [0.5, 0.5], "lower", 0.25) == {
+        "better": "lower", "bound": 0.25, "worse_by": None, "regressed": True,
+    }
 
 
 def test_code_lines_columns_add_up(tmp_path):
